@@ -7,9 +7,11 @@ computed here as the optimum of a pair of semidefinite programs:
     primal:  minimize Tr D - 1   over diagonal D >= rho
     dual:    maximize Tr[Y rho] - 1   over Y >= 0 with unit diagonal
 
-The dual solution yields an optimal witness W = 1 - Y with zero diagonal;
-the primal solution yields the pseudomixture rho = (1+s) delta - s tau with
-delta = D / Tr D diagonal and tau a state.
+Both come from one solve of the dual in the engine's standard form, which
+has one PSD block and one constraint row per diagonal entry (d rows, not
+d^2).  The dual solution yields an optimal witness W = 1 - Y with zero
+diagonal; the engine's dual vector yields D and with it the pseudomixture
+rho = (1+s) delta - s tau with delta = D / Tr D diagonal and tau a state.
 """
 from __future__ import annotations
 
@@ -52,25 +54,23 @@ class RocCertificate:
 
 def _roc_problem(rho: np.ndarray):
     d = rho.shape[0]
-    basis = sdp.hermitian_basis(d)
-    m = d * d
-    # rows: diag(t) - Z = rho entrywise; objective sum(t)
-    t_stack = np.zeros((m, d))
-    t_stack[:d, :] = np.eye(d)
+    # min <-rho, Y> over Y >= 0 with <E_jj, Y> = 1: the engine's x is Y (the
+    # witness is 1 - Y), its y gives D = diag(-y) >= rho, and its slack is
+    # -rho - diag(y) = D - rho, the unnormalised tau.  d rows, so the Schur
+    # complement is d x d.
+    rows = np.zeros((d, d, d), dtype=np.complex128)
+    rows[np.arange(d), np.arange(d), np.arange(d)] = 1.0
     problem = sdp.ConicProblem.build(
-        blocks=[(sdp.PSD, d), (sdp.NONNEG, d)],
-        cost=[np.zeros((d, d), dtype=np.complex128), np.ones(d)],
-        rhs=sdp.entry_coords(rho),
-        stacks=[-basis, t_stack],
+        blocks=[(sdp.PSD, d)],
+        cost=[-rho],
+        rhs=np.ones(d),
+        stacks=[rows],
         validate=False,
     )
-    # strictly feasible start: t = diag(rho) + 2, Z = diag(t) - rho >= 1;
-    # dual start Y = I/2 with slack 1/2 on the diagonal bound
-    t0 = np.diag(rho).real + 2.0
-    z0 = np.diag(t0).astype(np.complex128) - rho
-    y0 = np.zeros(m)
-    y0[:d] = 0.5
-    start = ([z0, t0], y0, [0.5 * np.eye(d, dtype=np.complex128), 0.5 * np.ones(d)])
+    # strictly feasible start: Y = I, D = 2I, slack 2I - rho > 0 since
+    # lambda_max(rho) <= 1
+    eye = np.eye(d, dtype=np.complex128)
+    start = ([eye], -2.0 * np.ones(d), [2.0 * eye - rho])
     return problem, start
 
 
@@ -80,22 +80,22 @@ def roc_exact(rho, tol: float = 1e-8) -> RocCertificate:
     d = rho.shape[0]
     problem, start = _roc_problem(rho)
     sol = sdp.solve_or_raise(problem, sdp.SolveOptions(tol=tol, start=start))
-    if sol.primal_value - 1.0 < 1e-6 and tol > 1e-10:
+    if -sol.dual_value - 1.0 < 1e-6 and tol > 1e-10:
         # near-incoherent: refine at the tolerance floor so values below the
         # 1e-9 reporting threshold are actually resolved
         refined = sdp.solve(problem, sdp.SolveOptions(tol=1e-10, start=start))
         if refined.status is sdp.SolveStatus.OPTIMAL:
             sol = refined
-    z_star = sol.x[0]
-    t_star = sol.x[1]
-    trace_d = float(np.sum(t_star))
+    d_diag = -sol.y
+    trace_d = float(np.sum(d_diag))
     value = max(0.0, trace_d - 1.0)
 
-    y_mat = sdp.hermitian_from_coords(sol.y, d)
+    y_mat = sol.x[0]
     y_mat = y_mat + np.diag(1.0 - np.diag(y_mat))  # lift diagonal to exactly 1
     witness = np.eye(d, dtype=np.complex128) - y_mat
 
-    delta = np.diag(t_star / trace_d).astype(np.complex128)
+    delta = np.diag(d_diag / trace_d).astype(np.complex128)
+    z_star = np.diag(d_diag) - rho
     tau = z_star / float(np.trace(z_star).real) if value > VALUE_FLOOR else None
     if tau is None:
         value = 0.0

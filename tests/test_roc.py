@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cohrob import sdp
 from cohrob.jsonio import matrix_from_json
 from cohrob.linalg import (
     dephase,
@@ -46,6 +47,42 @@ def test_diagonal_state_value_zero_with_trivial_witness():
     assert validate_witness(cert.witness).valid
     # the zero witness is itself feasible at value zero
     assert witness_lower_bound(np.diag([0.2, 0.3, 0.5]), np.zeros((3, 3))) == 0.0
+
+
+def _counting_solve(monkeypatch):
+    tols = []
+    real_solve = sdp.solve
+
+    def counted(problem, options=None):
+        tols.append(options.tol)
+        return real_solve(problem, options)
+
+    monkeypatch.setattr(sdp, "solve", counted)
+    return tols
+
+
+def test_near_incoherent_state_triggers_refine(monkeypatch):
+    sigma = random_state(4, seed=6)
+    rho = dephase(sigma) + 1e-9 * (sigma - dephase(sigma))
+    tols = _counting_solve(monkeypatch)
+    cert = roc_exact(rho)
+    assert tols == [1e-8, 1e-10]
+    assert cert.value < 1e-8
+
+
+def test_diagonal_state_refines_to_zero(monkeypatch):
+    tols = _counting_solve(monkeypatch)
+    cert = roc_exact(np.diag([0.2, 0.3, 0.5]))
+    assert tols == [1e-8, 1e-10]
+    assert cert.value == 0.0
+    assert cert.noise_part is None
+
+
+def test_coherent_state_solves_once(monkeypatch):
+    tols = _counting_solve(monkeypatch)
+    cert = roc_exact(random_state(4, seed=6))
+    assert tols == [1e-8]
+    assert cert.value > 0.1
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

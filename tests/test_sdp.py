@@ -6,11 +6,12 @@ from cohrob import sdp
 from cohrob.jsonio import matrix_from_json
 from cohrob.linalg import (
     as_hermitian,
+    dephase,
     jacobi_eigvalsh,
     maximally_coherent_state,
     random_state,
 )
-from cohrob.roc import _roc_problem
+from cohrob.roc import VALUE_FLOOR, _roc_problem, roc_exact
 from cohrob.sdp import (
     NONNEG,
     PSD,
@@ -166,6 +167,30 @@ def unit_diagonal_problem(rho):
     return problem, start
 
 
+def entrywise_roc_problem(rho):
+    """The robustness posed as diag(t) - Z = rho entrywise: d^2 rows over a
+    PSD block Z and a nonnegative block t, objective sum(t) = Tr D."""
+    d = rho.shape[0]
+    m = d * d
+    t_stack = np.zeros((m, d))
+    t_stack[:d, :] = np.eye(d)
+    problem = ConicProblem.build(
+        blocks=[(PSD, d), (NONNEG, d)],
+        cost=[np.zeros((d, d), dtype=np.complex128), np.ones(d)],
+        rhs=entry_coords(rho),
+        stacks=[-hermitian_basis(d), t_stack],
+        validate=False,
+    )
+    # strictly feasible start: t = diag(rho) + 2, Z = diag(t) - rho >= 1;
+    # dual start Y = I/2 with slack 1/2 on the diagonal bound
+    t0 = np.diag(rho).real + 2.0
+    z0 = np.diag(t0).astype(np.complex128) - rho
+    y0 = np.zeros(m)
+    y0[:d] = 0.5
+    start = ([z0, t0], y0, [0.5 * np.eye(d, dtype=np.complex128), 0.5 * np.ones(d)])
+    return problem, start
+
+
 def test_scalar_lower_bound_program():
     sol = solve_or_raise(one_dim_bound_problem())
     assert sol.status is SolveStatus.OPTIMAL
@@ -290,7 +315,7 @@ def test_scaling_invariance_of_argmin_set_on_flat_face():
 
 def test_constraint_permutation_invariance():
     rho = random_state(3, seed=37)
-    problem, start = _roc_problem(rho)
+    problem, start = entrywise_roc_problem(rho)
     base = solve_or_raise(problem, SolveOptions(start=start))
     perm = np.array([4, 0, 7, 2, 6, 1, 8, 3, 5])
     permuted = ConicProblem.build(
@@ -305,6 +330,37 @@ def test_constraint_permutation_invariance():
     other = solve_or_raise(permuted, SolveOptions(start=permuted_start))
     assert abs(other.primal_value - base.primal_value) < 1e-9
     assert abs(other.dual_value - base.dual_value) < 1e-9
+
+
+def near_diagonal_state(d, seed):
+    """Mixture (1 - eps) dephase(sigma) + eps sigma: off-diagonals 1e-9 times
+    the populations' scale, robustness near the reporting floor."""
+    sigma = random_state(d, seed=seed)
+    return dephase(sigma) + 1e-9 * (sigma - dephase(sigma))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("kind", ["full", "rank1", "rank2", "near_diagonal"])
+def test_roc_exact_agrees_with_entrywise_formulation(d, kind):
+    for seed in (0, 1):
+        if kind == "near_diagonal":
+            rho = near_diagonal_state(d, seed)
+        else:
+            rank = {"full": d, "rank1": 1, "rank2": 2}[kind]
+            rho = random_state(d, rank=rank, seed=seed)
+        problem, start = entrywise_roc_problem(rho)
+        ref = solve_or_raise(problem, SolveOptions(tol=1e-10, start=start)).primal_value - 1.0
+        cert = roc_exact(rho)
+        # Tr D - 1 bounds the optimum from above and Tr[Y rho] - 1 from below;
+        # the tighter entrywise optimum must fall inside that bracket, up to
+        # the reporting floor below which values are clamped to zero
+        assert cert.value - cert.gap - VALUE_FLOOR <= ref <= cert.value + VALUE_FLOOR
+
+
+def test_roc_problem_has_one_row_per_diagonal_entry():
+    problem, _ = _roc_problem(random_state(16, seed=4))
+    assert problem.rhs.size == 16
+    assert problem.blocks == ((PSD, 16),)
 
 
 def test_solver_deterministic():
