@@ -3,7 +3,9 @@
 Validating constructors, the dephasing map, coherence norms, spectral
 routines and seeded random generation.  Matrices are numpy complex128
 arrays throughout; constructors return fresh arrays and never mutate
-their input.
+their input.  Every spectrum in the package (density validation,
+entropies, norms, certificate and witness checks) goes through numpy's
+LAPACK eigensolver via `jacobi_eigh` / `jacobi_eigvalsh`.
 """
 from __future__ import annotations
 
@@ -137,56 +139,22 @@ def matrix_norms(m) -> Norms:
 
 # -- spectral routine ---------------------------------------------------------
 
-def jacobi_eigh(m, tol: float = 1e-13, max_sweeps: int = 60):
-    """Eigendecomposition of a complex Hermitian matrix by cyclic Jacobi.
+def jacobi_eigh(m):
+    """Eigendecomposition of the Hermitian part (M + M†)/2 by LAPACK.
 
-    Returns (w, V) with eigenvalues ascending and M ~= V diag(w) V†.
-    Intended for the dense d <= 64 matrices this package works with.
+    Returns (w, V) with eigenvalues ascending and M ~= V diag(w) V†.  The
+    explicit symmetrization matters: numpy's eigh reads only one triangle.
+    This is the package's one eigensolver; the name is kept for callers
+    that look it up by attribute.
     """
-    a = np.array(m, dtype=np.complex128)
-    d = a.shape[0]
-    a = 0.5 * (a + a.conj().T)
-    v = np.eye(d, dtype=np.complex128)
-    if d == 1:
-        return a.real.reshape(1).copy(), v
-    scale = max(float(np.linalg.norm(a)), 1e-300)
-    for _ in range(max_sweeps):
-        off = np.linalg.norm(a - np.diag(np.diag(a)))
-        if off <= tol * scale:
-            break
-        for p in range(d - 1):
-            for q in range(p + 1, d):
-                apq = a[p, q]
-                r = abs(apq)
-                if r <= 1e-18 * scale:
-                    continue
-                phase = apq / r
-                tau = (a[q, q].real - a[p, p].real) / (2.0 * r)
-                t = 1.0 if tau == 0.0 else np.sign(tau) / (abs(tau) + np.hypot(1.0, tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                # columns: U = [[c*phase, s*phase], [-s, c]] on (p, q)
-                cp, cq = a[:, p].copy(), a[:, q].copy()
-                a[:, p] = c * phase * cp - s * cq
-                a[:, q] = s * phase * cp + c * cq
-                rp, rq = a[p, :].copy(), a[q, :].copy()
-                a[p, :] = c * np.conj(phase) * rp - s * rq
-                a[q, :] = s * np.conj(phase) * rp + c * rq
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                a[p, p] = a[p, p].real
-                a[q, q] = a[q, q].real
-                vp, vq = v[:, p].copy(), v[:, q].copy()
-                v[:, p] = c * phase * vp - s * vq
-                v[:, q] = s * phase * vp + c * vq
-    w = np.diag(a).real.copy()
-    order = np.argsort(w, kind="stable")
-    return w[order], v[:, order]
+    a = np.asarray(m, dtype=np.complex128)
+    return np.linalg.eigh(0.5 * (a + a.conj().T))
 
 
-def jacobi_eigvalsh(m, tol: float = 1e-13) -> np.ndarray:
-    w, _ = jacobi_eigh(m, tol=tol)
-    return w
+def jacobi_eigvalsh(m) -> np.ndarray:
+    """Ascending eigenvalues of the Hermitian part (M + M†)/2 by LAPACK."""
+    a = np.asarray(m, dtype=np.complex128)
+    return np.linalg.eigvalsh(0.5 * (a + a.conj().T))
 
 
 # -- swap-operator purity identities -----------------------------------------

@@ -227,8 +227,10 @@ def _chol(m, ridge_scale=1.0):
 
 
 def _nt_scaling(x, s):
-    """NT scaling of a PSD block: returns (R, Rinv, W, lam) with
-    Rinv x Rinv.T = R.T s R = diag(lam) and W = R R.T."""
+    """NT scaling of a PSD block: returns (R, Rinv, W, lam, Lx, Ls) with
+    Rinv x Rinv.T = R.T s R = diag(lam), W = R R.T, and Lx, Ls the
+    Cholesky factors of x and s.  The step-length tests of the same
+    iterate reuse Lx and Ls, so each block is factored once per iterate."""
     lx = _chol(x, max(float(np.max(np.diag(x))), 1e-300))
     ls = _chol(s, max(float(np.max(np.diag(s))), 1e-300))
     if lx is None or ls is None:
@@ -239,7 +241,7 @@ def _nt_scaling(x, s):
     inv_sqrt = 1.0 / np.sqrt(lam)
     r = lx @ vt.T * inv_sqrt
     rinv = (inv_sqrt[:, None] * u.T) @ ls.T
-    return r, rinv, r @ r.T, lam
+    return r, rinv, r @ r.T, lam, lx, ls
 
 
 def _max_step_psd(lx, dx):
@@ -351,7 +353,7 @@ def solve(problem: ConicProblem, options: SolveOptions | None = None) -> ConicSo
                         break
                     scal.append(nt)
                 else:
-                    scal.append((None, None, np.sqrt(x / s), np.sqrt(x * s)))
+                    scal.append((None, None, np.sqrt(x / s), np.sqrt(x * s), None, None))
             if not ok:
                 status = SolveStatus.NUMERICAL_FAILURE
                 break
@@ -383,7 +385,7 @@ def solve(problem: ConicProblem, options: SolveOptions | None = None) -> ConicSo
                 ks = []
                 for k, x, s, sc, e in zip(kinds, xs, ss, scal, corr):
                     if k == PSD:
-                        r, _, _, lam = sc
+                        r, lam = sc[0], sc[3]
                         rhs_sym = -np.diag(lam * lam)
                         if sigma_mu:
                             rhs_sym = rhs_sym + sigma_mu * np.eye(lam.size)
@@ -423,12 +425,8 @@ def solve(problem: ConicProblem, options: SolveOptions | None = None) -> ConicSo
                 ap = ad = np.inf
                 for k, x, s, sc, dx, ds in zip(kinds, xs, ss, scal, dxs, dss):
                     if k == PSD:
-                        lx = _chol(x, max(float(np.max(np.diag(x))), 1e-300))
-                        lsf = _chol(s, max(float(np.max(np.diag(s))), 1e-300))
-                        if lx is None or lsf is None:
-                            return None, None
-                        ap = min(ap, _max_step_psd(lx, dx))
-                        ad = min(ad, _max_step_psd(lsf, ds))
+                        ap = min(ap, _max_step_psd(sc[4], dx))
+                        ad = min(ad, _max_step_psd(sc[5], ds))
                     else:
                         ap = min(ap, _max_step_nonneg(x, dx))
                         ad = min(ad, _max_step_nonneg(s, ds))
@@ -437,9 +435,6 @@ def solve(problem: ConicProblem, options: SolveOptions | None = None) -> ConicSo
             none_corr = [None] * len(kinds)
             dxa, dya, dsa = newton(0.0, none_corr)
             ap_aff, ad_aff = max_steps(dxa, dsa)
-            if ap_aff is None:
-                status = SolveStatus.NUMERICAL_FAILURE
-                break
             ap_aff, ad_aff = min(1.0, ap_aff), min(1.0, ad_aff)
             compl_aff = 0.0
             for k, x, s, dx, ds in zip(kinds, xs, ss, dxa, dsa):
@@ -450,7 +445,7 @@ def solve(problem: ConicProblem, options: SolveOptions | None = None) -> ConicSo
             corr = []
             for k, sc, dx, ds in zip(kinds, scal, dxa, dsa):
                 if k == PSD:
-                    r, rinv, _, _ = sc
+                    r, rinv = sc[0], sc[1]
                     dxh = rinv @ dx @ rinv.T
                     dsh = r.T @ ds @ r
                     corr.append(0.5 * (dxh @ dsh + dsh @ dxh))
@@ -458,9 +453,6 @@ def solve(problem: ConicProblem, options: SolveOptions | None = None) -> ConicSo
                     corr.append(dx * ds)
             dxs, dy, dss = newton(sigma * mu, corr)
             ap, ad = max_steps(dxs, dss)
-            if ap is None:
-                status = SolveStatus.NUMERICAL_FAILURE
-                break
             tau = opts.fraction_to_boundary
             ap = min(1.0, tau * ap)
             ad = min(1.0, tau * ad)
@@ -517,22 +509,15 @@ def hermitian_basis(d: int) -> np.ndarray:
     Order: E_jj for each j, then for each pair k < l the real-part matrix
     (E_kl + E_lk) and the imaginary-part matrix i(E_kl - E_lk).
     """
-    mats = []
-    for j in range(d):
-        e = np.zeros((d, d), dtype=np.complex128)
-        e[j, j] = 1.0
-        mats.append(e)
-    for k in range(d):
-        for l in range(k + 1, d):
-            h = np.zeros((d, d), dtype=np.complex128)
-            h[k, l] = 1.0
-            h[l, k] = 1.0
-            mats.append(h)
-            g = np.zeros((d, d), dtype=np.complex128)
-            g[k, l] = 1.0j
-            g[l, k] = -1.0j
-            mats.append(g)
-    out = np.stack(mats)
+    out = np.zeros((d * d, d, d), dtype=np.complex128)  # filled in place: one copy
+    diag = np.arange(d)
+    out[diag, diag, diag] = 1.0
+    k, l = np.triu_indices(d, 1)
+    re = d + 2 * np.arange(k.size)
+    out[re, k, l] = 1.0
+    out[re, l, k] = 1.0
+    out[re + 1, k, l] = 1.0j
+    out[re + 1, l, k] = -1.0j
     out.setflags(write=False)
     return out
 

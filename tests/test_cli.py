@@ -1,5 +1,8 @@
 """Command-line surface: subcommands, output modes, and exit codes."""
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -267,3 +270,19 @@ def test_tol_flag_accepts_below_floor(capsys, max4_state):
     # values under the documented floor are floored, not rejected
     assert cli.main(["roc", "--tol", "1e-14", max4_state]) == 0
     assert "value 3.000000" in capsys.readouterr().out
+
+
+# -- module entry point ---------------------------------------------------------------------------
+
+
+def test_python_dash_m_matches_main(capsys, max4_state):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    run = subprocess.run(
+        [sys.executable, "-m", "cohrob", "roc", max4_state, "--json"],
+        capture_output=True, text=True, env=env, check=False,
+    )
+    assert run.returncode == 0, run.stderr
+    assert cli.main(["roc", max4_state, "--json"]) == 0
+    assert run.stdout == capsys.readouterr().out

@@ -1,4 +1,4 @@
-"""Hermitian-core: dephasing, coherence norms, entropies, Jacobi, swap trick."""
+"""Hermitian-core: dephasing, coherence norms, entropies, eigensolver, swap trick."""
 import numpy as np
 import pytest
 from hypothesis import given
@@ -194,10 +194,10 @@ def test_purity_gap_identity(d, seed):
     assert abs(lhs - rhs) < 1e-12
 
 
-# -- Jacobi eigensolver ------------------------------------------------------------
+# -- eigensolver ------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("d", [2, 3, 5, 8, 16])
+@pytest.mark.parametrize("d", [2, 3, 5, 8, 16, 32])
 def test_jacobi_reconstruction(d):
     rng = np.random.default_rng(d)
     g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
@@ -215,6 +215,20 @@ def test_jacobi_matches_eigvalsh_entrypoint():
     w = jacobi_eigvalsh(m)
     ref = np.linalg.eigvalsh(m)
     assert np.max(np.abs(w - ref)) < 1e-10
+
+
+def test_eigensolver_uses_hermitian_part_when_triangles_disagree():
+    rng = np.random.default_rng(11)
+    g = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))  # not Hermitian
+    h = 0.5 * (g + g.conj().T)
+    ref = np.sort(np.linalg.eigvals(h).real)  # general solver reads every entry
+    # either triangle alone has a different spectrum, so the test can tell
+    assert np.max(np.abs(np.linalg.eigvalsh(g, UPLO="L") - ref)) > 1e-3
+    assert np.max(np.abs(np.linalg.eigvalsh(g, UPLO="U") - ref)) > 1e-3
+    assert np.max(np.abs(jacobi_eigvalsh(g) - ref)) < 1e-12
+    w, u = jacobi_eigh(g)
+    assert np.max(np.abs(w - ref)) < 1e-12
+    assert np.max(np.abs((u * w) @ u.conj().T - h)) < 1e-12
 
 
 # -- swap operator and purity check -------------------------------------------------

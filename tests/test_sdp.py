@@ -86,6 +86,37 @@ def test_entry_coords_layout_and_adjoint_identity():
     assert abs(lhs - float(y @ coords)) < 1e-12
 
 
+def _hermitian_basis_by_loop(d):
+    # reference: one d x d matrix per basis element, stacked at the end
+    mats = []
+    for j in range(d):
+        e = np.zeros((d, d), dtype=np.complex128)
+        e[j, j] = 1.0
+        mats.append(e)
+    for k in range(d):
+        for l in range(k + 1, d):
+            h = np.zeros((d, d), dtype=np.complex128)
+            h[k, l] = 1.0
+            h[l, k] = 1.0
+            mats.append(h)
+            g = np.zeros((d, d), dtype=np.complex128)
+            g[k, l] = 1.0j
+            g[l, k] = -1.0j
+            mats.append(g)
+    return np.stack(mats)
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_hermitian_basis_matches_loop_builder_and_is_read_only(d):
+    basis = hermitian_basis(d)
+    ref = _hermitian_basis_by_loop(d)
+    assert basis.dtype == ref.dtype and basis.shape == ref.shape
+    assert basis.tobytes() == ref.tobytes()
+    assert not basis.flags.writeable
+    with pytest.raises(ValueError):
+        basis[0, 0, 0] = 2.0
+
+
 def test_hermitian_basis_is_orthogonal_frame():
     basis = hermitian_basis(3)
     assert basis.shape == (9, 3, 3)
@@ -361,6 +392,22 @@ def test_roc_problem_has_one_row_per_diagonal_entry():
     problem, _ = _roc_problem(random_state(16, seed=4))
     assert problem.rhs.size == 16
     assert problem.blocks == ((PSD, 16),)
+
+
+def test_psd_blocks_factored_once_per_iterate(monkeypatch):
+    calls = []
+    chol = sdp._chol
+
+    def counted(m, ridge_scale=1.0):
+        calls.append(m.shape)
+        return chol(m, ridge_scale)
+
+    monkeypatch.setattr(sdp, "_chol", counted)
+    problem, start = _roc_problem(random_state(4, seed=6))
+    sol = solve_or_raise(problem, SolveOptions(start=start))
+    # NT scaling factors x and s once each; the step lengths reuse them
+    assert sol.iterations > 0
+    assert len(calls) == 2 * sol.iterations
 
 
 def test_solver_deterministic():
