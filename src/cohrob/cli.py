@@ -4,9 +4,9 @@ Subcommands cover the exact solver, bound reports, witness evaluation, the
 device-data programs, discrimination games, the operational-advantage check,
 a qubit Bloch-ball sweep, and the randomized invariant audit.
 
-Exit codes: 0 success; 1 malformed input or dimension mismatch; 2 solver
-failure; 3 invalid witness; 4 data inconsistent with any quantum state;
-5 operational-theorem mismatch beyond tolerance.
+Exit codes: 0 success; 1 malformed input, malformed command line or
+dimension mismatch; 2 solver failure; 3 invalid witness; 4 data inconsistent
+with any quantum state; 5 operational-theorem mismatch beyond tolerance.
 
 Human-readable output uses fixed 6-decimal formatting; --json emits full
 precision.  Diagnostics go to stderr only.
@@ -43,6 +43,28 @@ EXIT_THEOREM_MISMATCH = 5
 MIN_TOL = 1e-10
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse exits 2 on a malformed command line, the code this CLI keeps
+    for solver failure; these parsers exit EXIT_BAD_INPUT instead."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_BAD_INPUT, f"{self.prog}: error: {message}\n")
+
+
+def _tol(text: str) -> float:
+    """--tol: a relative tolerance in (0, 1), floored at MIN_TOL.  At 1 or
+    more the solver's stopping test already holds at its starting point."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = float("nan")
+    if not 0.0 < value < 1.0:
+        raise argparse.ArgumentTypeError(
+            f"tolerance must be a number in (0, 1), got {text!r}")
+    return max(value, MIN_TOL)
+
+
 def _load_state(path: str) -> np.ndarray:
     mat = jsonio.matrix_from_json(jsonio.load_json_file(path), where=path)
     try:
@@ -61,7 +83,6 @@ def _emit(args, payload: dict, human_lines) -> None:
 
 def _cmd_roc(args) -> int:
     rho = _load_state(args.state)
-    tol = max(args.tol, MIN_TOL)
     if args.fast_path_only:
         value = roc_fast_path(rho)
         if value is None:
@@ -72,7 +93,7 @@ def _cmd_roc(args) -> int:
         _emit(args, {"value": value, "method": "fast_path"},
               [f"value {value:.6f}", "method fast_path"])
         return EXIT_OK
-    cert = roc_exact(rho, tol=tol)
+    cert = roc_exact(rho, tol=args.tol)
     if args.certificate:
         payload = jsonio.certificate_to_json(cert)
         print(json.dumps(payload) if args.json else json.dumps(payload, indent=1))
@@ -111,7 +132,7 @@ def _cmd_witness_bound(args) -> int:
 
 def _cmd_witness_from_data(args) -> int:
     data = jsonio.dataset_from_json(jsonio.load_json_file(args.dataset), where=args.dataset)
-    fit = best_witness_from_data(data, tol=max(args.tol, MIN_TOL))
+    fit = best_witness_from_data(data, tol=args.tol)
     payload = {
         "bound": fit.bound,
         "coefficients": fit.coefficients.tolist(),
@@ -128,7 +149,7 @@ def _cmd_witness_from_data(args) -> int:
 
 def _cmd_min_roc_from_data(args) -> int:
     data = jsonio.dataset_from_json(jsonio.load_json_file(args.dataset), where=args.dataset)
-    result = min_roc_from_data(data, slack=args.slack, tol=max(args.tol, MIN_TOL))
+    result = min_roc_from_data(data, slack=args.slack, tol=args.tol)
     _emit(args, {"min_roc": result.value, "deviation": result.deviation},
           [f"min_roc {result.value:.6f}"])
     return EXIT_OK
@@ -141,9 +162,8 @@ def _cmd_game(args) -> int:
         raise jsonio.InputFormatError(
             f"dimension mismatch: game {game.dim} vs state {rho.shape[0]}"
         )
-    tol = max(args.tol, MIN_TOL)
-    p_succ, _ = success_probability(game, rho, tol=tol)
-    baseline = incoherent_baseline(game, tol=tol)
+    p_succ, _ = success_probability(game, rho, tol=args.tol)
+    baseline = incoherent_baseline(game, tol=args.tol)
     ratio = p_succ / baseline
     _emit(args, {"p_succ": p_succ, "baseline": baseline, "ratio": ratio},
           [f"p_succ {p_succ:.6f}", f"baseline {baseline:.6f}", f"ratio {ratio:.6f}"])
@@ -157,6 +177,7 @@ def _cmd_verify_teo(args) -> int:
         phase_samples=args.phase_samples,
         channel_samples=args.channel_samples,
         seed=args.seed,
+        tol=args.tol,
     )
     payload = {
         "roc": report.roc,
@@ -220,17 +241,18 @@ def _cmd_audit(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cohrob",
         description="Robustness-of-coherence toolkit: exact values, "
         "certificates, bounds, data programs, and discrimination games.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_common(p, solves=True):
         p.add_argument("--json", action="store_true", help="full-precision JSON output")
-        p.add_argument("--tol", type=float, default=1e-8,
-                       help="solver tolerance (floored at 1e-10)")
+        if solves:
+            p.add_argument("--tol", type=_tol, default=1e-8,
+                           help="solver tolerance in (0, 1), floored at 1e-10")
 
     p = sub.add_parser("roc", help="robustness of coherence of a state")
     p.add_argument("state", help="density-matrix JSON file")
@@ -243,13 +265,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bounds", help="upper/lower bound report (JSON)")
     p.add_argument("state")
-    add_common(p)
+    add_common(p, solves=False)
     p.set_defaults(func=_cmd_bounds)
 
     p = sub.add_parser("witness-bound", help="lower bound from a given witness")
     p.add_argument("state")
     p.add_argument("witness")
-    add_common(p)
+    add_common(p, solves=False)
     p.set_defaults(func=_cmd_witness_bound)
 
     p = sub.add_parser("witness-from-data", help="best witness built from expectations")

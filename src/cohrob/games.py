@@ -176,7 +176,6 @@ def _optimal_measurement(weighted, tol: float):
         cost=[-a for a in weighted],
         rhs=sdp.entry_coords(eye),
         stacks=(basis,) * m,
-        validate=False,
     )
     y0 = sdp.entry_coords(-1.5 * eye)
     start = (

@@ -65,7 +65,6 @@ def _roc_problem(rho: np.ndarray):
         cost=[-rho],
         rhs=np.ones(d),
         stacks=[rows],
-        validate=False,
     )
     # strictly feasible start: Y = I, D = 2I, slack 2I - rho > 0 since
     # lambda_max(rho) <= 1

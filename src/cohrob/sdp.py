@@ -9,20 +9,20 @@ Mehrotra predictor-corrector step.  Complex Hermitian blocks are mapped to
 real symmetric blocks of twice the size; the factor-2 value inflation this
 introduces is divided out when the solution is extracted.
 
-The engine is deliberately small: dense linear algebra, a Cholesky-factored
-Schur complement with a ridge fallback, and no infeasibility certificates
-(every problem built by this package is constructed feasible).
+The engine is deliberately small: one input form (stacked constraint
+arrays), dense linear algebra, one Cholesky-with-jitter routine for the NT
+blocks and the Schur complement, and no infeasibility certificates (every
+problem built by this package is constructed feasible).
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 
 import numpy as np
 
-from .linalg import as_hermitian
+from .linalg import HERMITICITY_TOL
 
 PSD = "psd"
 NONNEG = "nonneg"
@@ -41,24 +41,20 @@ class SolverError(RuntimeError):
 # -- realification -------------------------------------------------------------
 
 def realify(h) -> np.ndarray:
-    """Real symmetric image [[A, -B], [B, A]] of a Hermitian matrix A + iB.
+    """Real symmetric image [[A, -B], [B, A]] of a Hermitian matrix A + iB,
+    or of each matrix in a stack shaped (..., n, n).
 
     Eigenvalues are preserved with multiplicity doubled, so positive
     semidefiniteness and traces (up to the factor 2) carry over.
     """
     a = np.asarray(h, dtype=np.complex128)
+    n = a.shape[-1]
+    out = np.empty(a.shape[:-2] + (2 * n, 2 * n))
     re, im = a.real, a.imag
-    return np.block([[re, -im], [im, re]])
-
-
-def _realify_stack(stack: np.ndarray) -> np.ndarray:
-    m, n = stack.shape[0], stack.shape[1]
-    out = np.empty((m, 2 * n, 2 * n))
-    re, im = stack.real, stack.imag
-    out[:, :n, :n] = re
-    out[:, n:, n:] = re
-    out[:, :n, n:] = -im
-    out[:, n:, :n] = im
+    out[..., :n, :n] = re
+    out[..., n:, n:] = re
+    out[..., :n, n:] = -im
+    out[..., n:, :n] = im
     return out
 
 
@@ -99,14 +95,13 @@ class ConicProblem:
     rhs: np.ndarray
 
     @staticmethod
-    def build(blocks, cost, rhs, coeffs=None, stacks=None, validate=True) -> "ConicProblem":
+    def build(blocks, cost, rhs, stacks) -> "ConicProblem":
         """Assemble and check a problem.
 
-        Constraints are given either as `coeffs` (list over constraints of
-        per-block entries, None meaning zero) or as pre-stacked per-block
-        arrays `stacks`.  With validate=False the per-entry Hermiticity
-        checks are skipped (for internally generated, structurally
-        Hermitian data); the constraint independence check always runs.
+        Every build checks the shapes, that PSD cost and constraint data are
+        Hermitian within HERMITICITY_TOL, and that the constraints are
+        linearly independent.  The data are stored as given, not
+        symmetrized, so the solver sees exactly the caller's arrays.
         """
         blocks = tuple((str(k), int(n)) for k, n in blocks)
         if not blocks:
@@ -121,47 +116,25 @@ class ConicProblem:
         if m < 1:
             raise ValueError("at least one constraint is required")
 
-        def check_entry(entry, kind, n):
-            if kind == PSD:
-                if entry is None:
-                    return np.zeros((n, n), dtype=np.complex128)
-                a = as_hermitian(entry) if validate else np.asarray(entry, dtype=np.complex128)
-                if a.shape != (n, n):
+        costs, checked = [], []
+        for c, st, (k, n) in zip(cost, stacks, blocks, strict=True):
+            if k == PSD:
+                c = np.asarray(c, dtype=np.complex128)
+                st = np.asarray(st, dtype=np.complex128)
+                if c.shape != (n, n) or st.shape != (m, n, n):
                     raise ValueError("block data shape mismatch")
-                return a
-            if entry is None:
-                return np.zeros(n)
-            a = np.asarray(entry, dtype=float).reshape(-1)
-            if a.shape != (n,):
-                raise ValueError("block data shape mismatch")
-            return a
-
-        cost = tuple(check_entry(c, k, n) for c, (k, n) in zip(cost, blocks, strict=True))
-        if stacks is None:
-            if coeffs is None or len(coeffs) != m:
-                raise ValueError("provide coeffs (one row per constraint) or stacks")
-            stacks = tuple(
-                np.stack([check_entry(row[bi], k, n) for row in coeffs])
-                for bi, (k, n) in enumerate(blocks)
-            )
-        else:
-            checked = []
-            for st, (k, n) in zip(stacks, blocks, strict=True):
-                if k == PSD:
-                    a = np.asarray(st, dtype=np.complex128)
-                    if a.shape != (m, n, n):
-                        raise ValueError("stack shape mismatch")
-                    if validate:
-                        dev = np.max(np.abs(a - a.conj().transpose(0, 2, 1))) if a.size else 0.0
-                        if dev > 1e-12:
-                            raise ValueError(f"constraint data not Hermitian: {dev:.3e}")
-                else:
-                    a = np.asarray(st, dtype=float)
-                    if a.shape != (m, n):
-                        raise ValueError("stack shape mismatch")
-                checked.append(a)
-            stacks = tuple(checked)
-        problem = ConicProblem(blocks=blocks, cost=cost, stacks=stacks, rhs=rhs)
+                for what, a in (("cost", c), ("constraint", st)):
+                    dev = float(np.max(np.abs(a - np.swapaxes(a, -1, -2).conj())))
+                    if dev > HERMITICITY_TOL:
+                        raise ValueError(f"{what} data not Hermitian: {dev:.3e}")
+            else:
+                c = np.asarray(c, dtype=float).reshape(-1)
+                st = np.asarray(st, dtype=float)
+                if c.shape != (n,) or st.shape != (m, n):
+                    raise ValueError("block data shape mismatch")
+            costs.append(c)
+            checked.append(st)
+        problem = ConicProblem(blocks=blocks, cost=tuple(costs), stacks=tuple(checked), rhs=rhs)
         problem._check_independent()
         return problem
 
@@ -192,10 +165,6 @@ class ConicProblem:
 class SolveOptions:
     tol: float = 1e-8
     max_iter: int = 200
-    fraction_to_boundary: float = 0.98
-    ridge: float = 1e-12
-    record_history: bool = True
-    log_path: str | None = None
     # optional strictly interior starting point (x blocks, y, s blocks) in the
     # complex convention; identity / zero when None.  A feasible start keeps
     # every iterate feasible, so weak duality holds along the whole path.
@@ -217,8 +186,17 @@ class ConicSolution:
 
 # -- internal real-arithmetic core ----------------------------------------------
 
-def _chol(m, ridge_scale=1.0):
-    for jitter in (0.0, 1e-14, 1e-12, 1e-10, 1e-8):
+FRACTION_TO_BOUNDARY = 0.98
+# Cholesky jitter ladders, in units of ridge_scale: the largest diagonal entry
+# of the matrix, at least 1 for the Schur complement
+BLOCK_JITTER = (0.0, 1e-14, 1e-12, 1e-10, 1e-8)
+SCHUR_JITTER = (0.0, 1e-12, 1e-10, 1e-8, 1e-6)
+
+
+def _chol(m, ridge_scale, ladder):
+    """Cholesky factor of m + jitter * ridge_scale * I for the first jitter
+    of the ladder that factors, or None when none does."""
+    for jitter in ladder:
         try:
             return np.linalg.cholesky(m if jitter == 0.0 else m + jitter * ridge_scale * np.eye(m.shape[0]))
         except np.linalg.LinAlgError:
@@ -231,8 +209,8 @@ def _nt_scaling(x, s):
     Rinv x Rinv.T = R.T s R = diag(lam), W = R R.T, and Lx, Ls the
     Cholesky factors of x and s.  The step-length tests of the same
     iterate reuse Lx and Ls, so each block is factored once per iterate."""
-    lx = _chol(x, max(float(np.max(np.diag(x))), 1e-300))
-    ls = _chol(s, max(float(np.max(np.diag(s))), 1e-300))
+    lx = _chol(x, max(float(np.max(np.diag(x))), 1e-300), BLOCK_JITTER)
+    ls = _chol(s, max(float(np.max(np.diag(s))), 1e-300), BLOCK_JITTER)
     if lx is None or ls is None:
         return None
     u, lam, vt = np.linalg.svd(ls.T @ lx)
@@ -270,7 +248,7 @@ def solve(problem: ConicProblem, options: SolveOptions | None = None) -> ConicSo
     astacks, costs, sizes = [], [], []
     for (kind, n), st, c in zip(problem.blocks, problem.stacks, problem.cost):
         if kind == PSD:
-            astacks.append(_realify_stack(st))
+            astacks.append(realify(st))
             costs.append(realify(c))
             sizes.append(2 * n)
         else:
@@ -308,167 +286,148 @@ def solve(problem: ConicProblem, options: SolveOptions | None = None) -> ConicSo
         ]
 
     history = []
-    log_fh = open(opts.log_path, "w") if opts.log_path else None
     status = SolveStatus.MAX_ITER
     it = 0
-    try:
-        for it in range(opts.max_iter + 1):
-            pobj = sum(float(np.sum(c * x)) for c, x in zip(costs, xs))
-            dobj = float(rhs @ y)
-            rp = rhs - apply_a(xs)
-            aty = apply_at(y)
-            rds = [c - at - s for c, at, s in zip(costs, aty, ss)]
-            compl = sum(
-                float(np.sum(x * s)) if k == PSD else float(x @ s)
-                for k, x, s in zip(kinds, xs, ss)
-            )
-            mu = compl / nu
+    for it in range(opts.max_iter + 1):
+        pobj = sum(float(np.sum(c * x)) for c, x in zip(costs, xs))
+        dobj = float(rhs @ y)
+        rp = rhs - apply_a(xs)
+        aty = apply_at(y)
+        rds = [c - at - s for c, at, s in zip(costs, aty, ss)]
+        compl = sum(
+            float(np.sum(x * s)) if k == PSD else float(x @ s)
+            for k, x, s in zip(kinds, xs, ss)
+        )
+        mu = compl / nu
 
-            p_ext, d_ext = 0.5 * pobj, 0.5 * dobj
-            gap_rel = abs(p_ext - d_ext) / (1.0 + abs(p_ext))
-            rp_rel = float(np.linalg.norm(rp)) / (1.0 + bnorm)
-            rd_rel = np.sqrt(sum(float(np.sum(r * r)) for r in rds)) / (1.0 + cnorm)
-            compl_rel = 0.5 * compl / (1.0 + abs(p_ext))
-            if opts.record_history:
-                entry = {"iteration": it, "primal": p_ext, "dual": d_ext, "gap": gap_rel}
-                history.append(entry)
-                if log_fh:
-                    log_fh.write(json.dumps(entry) + "\n")
+        p_ext, d_ext = 0.5 * pobj, 0.5 * dobj
+        gap_rel = abs(p_ext - d_ext) / (1.0 + abs(p_ext))
+        rp_rel = float(np.linalg.norm(rp)) / (1.0 + bnorm)
+        rd_rel = np.sqrt(sum(float(np.sum(r * r)) for r in rds)) / (1.0 + cnorm)
+        compl_rel = 0.5 * compl / (1.0 + abs(p_ext))
+        history.append({"iteration": it, "primal": p_ext, "dual": d_ext, "gap": gap_rel})
 
-            if rp_rel <= opts.tol and rd_rel <= opts.tol and gap_rel <= opts.tol and compl_rel <= opts.tol:
-                status = SolveStatus.OPTIMAL
-                break
-            if it == opts.max_iter:
-                status = SolveStatus.MAX_ITER
-                break
+        if rp_rel <= opts.tol and rd_rel <= opts.tol and gap_rel <= opts.tol and compl_rel <= opts.tol:
+            status = SolveStatus.OPTIMAL
+            break
+        if it == opts.max_iter:
+            status = SolveStatus.MAX_ITER
+            break
 
-            # NT scalings
-            scal = []
-            ok = True
-            for k, x, s in zip(kinds, xs, ss):
+        # NT scalings
+        scal = []
+        ok = True
+        for k, x, s in zip(kinds, xs, ss):
+            if k == PSD:
+                nt = _nt_scaling(x, s)
+                if nt is None:
+                    ok = False
+                    break
+                scal.append(nt)
+            else:
+                scal.append((None, None, np.sqrt(x / s), np.sqrt(x * s), None, None))
+        if not ok:
+            status = SolveStatus.NUMERICAL_FAILURE
+            break
+
+        # Schur complement  M = A(W A^T(.) W)
+        schur = np.zeros((m, m))
+        for k, a, f, sc in zip(kinds, astacks, flats, scal):
+            w = sc[2]
+            if k == PSD:
+                t = np.matmul(np.matmul(w[None], a), w[None])
+                schur += f @ t.reshape(m, -1).T
+            else:
+                schur += (a * (w * w)) @ a.T
+        lm = _chol(schur, max(1.0, float(np.max(np.diag(schur)))), SCHUR_JITTER)
+        if lm is None:
+            status = SolveStatus.NUMERICAL_FAILURE
+            break
+
+        def newton(sigma_mu, corr):
+            ks = []
+            for k, x, s, sc, e in zip(kinds, xs, ss, scal, corr):
                 if k == PSD:
-                    nt = _nt_scaling(x, s)
-                    if nt is None:
-                        ok = False
-                        break
-                    scal.append(nt)
+                    r, lam = sc[0], sc[3]
+                    rhs_sym = -np.diag(lam * lam)
+                    if sigma_mu:
+                        rhs_sym = rhs_sym + sigma_mu * np.eye(lam.size)
+                    if e is not None:
+                        rhs_sym = rhs_sym - e
+                    g = rhs_sym * (2.0 / np.add.outer(lam, lam))
+                    ks.append(r @ g @ r.T)
                 else:
-                    scal.append((None, None, np.sqrt(x / s), np.sqrt(x * s), None, None))
-            if not ok:
-                status = SolveStatus.NUMERICAL_FAILURE
-                break
-
-            # Schur complement  M = A(W A^T(.) W)
-            schur = np.zeros((m, m))
-            for k, a, f, sc in zip(kinds, astacks, flats, scal):
+                    num = sigma_mu - x * s
+                    if e is not None:
+                        num = num - e
+                    ks.append(num / s)
+            vec = rp - apply_a(ks)
+            for k, sc, rd, f in zip(kinds, scal, rds, flats):
                 w = sc[2]
                 if k == PSD:
-                    t = np.matmul(np.matmul(w[None], a), w[None])
-                    schur += f @ t.reshape(m, -1).T
+                    vec += f @ (w @ rd @ w).reshape(-1)
                 else:
-                    schur += (a * (w * w)) @ a.T
-            ridge_scale = max(1.0, float(np.max(np.diag(schur))))
-            lm = None
-            for jitter in (0.0, opts.ridge, 1e-10, 1e-8, 1e-6):
-                try:
-                    lm = np.linalg.cholesky(
-                        schur if jitter == 0.0 else schur + jitter * ridge_scale * np.eye(m)
-                    )
-                    break
-                except np.linalg.LinAlgError:
-                    continue
-            if lm is None:
-                status = SolveStatus.NUMERICAL_FAILURE
-                break
-
-            def newton(sigma_mu, corr):
-                ks = []
-                for k, x, s, sc, e in zip(kinds, xs, ss, scal, corr):
-                    if k == PSD:
-                        r, lam = sc[0], sc[3]
-                        rhs_sym = -np.diag(lam * lam)
-                        if sigma_mu:
-                            rhs_sym = rhs_sym + sigma_mu * np.eye(lam.size)
-                        if e is not None:
-                            rhs_sym = rhs_sym - e
-                        g = rhs_sym * (2.0 / np.add.outer(lam, lam))
-                        ks.append(r @ g @ r.T)
-                    else:
-                        num = sigma_mu - x * s
-                        if e is not None:
-                            num = num - e
-                        ks.append(num / s)
-                vec = rp - apply_a(ks)
-                for k, sc, rd, f in zip(kinds, scal, rds, flats):
+                    vec += f @ (w * w * rd)
+            dy = np.linalg.solve(lm.T, np.linalg.solve(lm, vec))
+            atdy = apply_at(dy)
+            dss, dxs = [], []
+            for k, sc, rd, at, kk in zip(kinds, scal, rds, atdy, ks):
+                ds = rd - at
+                if k == PSD:
                     w = sc[2]
-                    if k == PSD:
-                        vec += f @ (w @ rd @ w).reshape(-1)
-                    else:
-                        vec += f @ (w * w * rd)
-                dy = np.linalg.solve(lm.T, np.linalg.solve(lm, vec))
-                atdy = apply_at(dy)
-                dss, dxs = [], []
-                for k, sc, rd, at, kk in zip(kinds, scal, rds, atdy, ks):
-                    ds = rd - at
-                    if k == PSD:
-                        w = sc[2]
-                        dx = kk - w @ ds @ w
-                        dx = 0.5 * (dx + dx.T)
-                        ds = 0.5 * (ds + ds.T)
-                    else:
-                        dx = kk - sc[2] ** 2 * ds
-                    dss.append(ds)
-                    dxs.append(dx)
-                return dxs, dy, dss
-
-            def max_steps(dxs, dss):
-                ap = ad = np.inf
-                for k, x, s, sc, dx, ds in zip(kinds, xs, ss, scal, dxs, dss):
-                    if k == PSD:
-                        ap = min(ap, _max_step_psd(sc[4], dx))
-                        ad = min(ad, _max_step_psd(sc[5], ds))
-                    else:
-                        ap = min(ap, _max_step_nonneg(x, dx))
-                        ad = min(ad, _max_step_nonneg(s, ds))
-                return ap, ad
-
-            none_corr = [None] * len(kinds)
-            dxa, dya, dsa = newton(0.0, none_corr)
-            ap_aff, ad_aff = max_steps(dxa, dsa)
-            ap_aff, ad_aff = min(1.0, ap_aff), min(1.0, ad_aff)
-            compl_aff = 0.0
-            for k, x, s, dx, ds in zip(kinds, xs, ss, dxa, dsa):
-                xa, sa = x + ap_aff * dx, s + ad_aff * ds
-                compl_aff += float(np.sum(xa * sa)) if k == PSD else float(xa @ sa)
-            sigma = float(np.clip((max(compl_aff, 0.0) / nu / mu) ** 3, 0.0, 1.0)) if mu > 0 else 0.0
-
-            corr = []
-            for k, sc, dx, ds in zip(kinds, scal, dxa, dsa):
-                if k == PSD:
-                    r, rinv = sc[0], sc[1]
-                    dxh = rinv @ dx @ rinv.T
-                    dsh = r.T @ ds @ r
-                    corr.append(0.5 * (dxh @ dsh + dsh @ dxh))
+                    dx = kk - w @ ds @ w
+                    dx = 0.5 * (dx + dx.T)
+                    ds = 0.5 * (ds + ds.T)
                 else:
-                    corr.append(dx * ds)
-            dxs, dy, dss = newton(sigma * mu, corr)
-            ap, ad = max_steps(dxs, dss)
-            tau = opts.fraction_to_boundary
-            ap = min(1.0, tau * ap)
-            ad = min(1.0, tau * ad)
-            if max(ap, ad) < 1e-14:
-                status = SolveStatus.NUMERICAL_FAILURE
-                break
-            for bi, k in enumerate(kinds):
-                xs[bi] = xs[bi] + ap * dxs[bi]
-                ss[bi] = ss[bi] + ad * dss[bi]
+                    dx = kk - sc[2] ** 2 * ds
+                dss.append(ds)
+                dxs.append(dx)
+            return dxs, dy, dss
+
+        def max_steps(dxs, dss):
+            ap = ad = np.inf
+            for k, x, s, sc, dx, ds in zip(kinds, xs, ss, scal, dxs, dss):
                 if k == PSD:
-                    xs[bi] = 0.5 * (xs[bi] + xs[bi].T)
-                    ss[bi] = 0.5 * (ss[bi] + ss[bi].T)
-            y = y + ad * dy
-    finally:
-        if log_fh:
-            log_fh.close()
+                    ap = min(ap, _max_step_psd(sc[4], dx))
+                    ad = min(ad, _max_step_psd(sc[5], ds))
+                else:
+                    ap = min(ap, _max_step_nonneg(x, dx))
+                    ad = min(ad, _max_step_nonneg(s, ds))
+            return ap, ad
+
+        none_corr = [None] * len(kinds)
+        dxa, dya, dsa = newton(0.0, none_corr)
+        ap_aff, ad_aff = max_steps(dxa, dsa)
+        ap_aff, ad_aff = min(1.0, ap_aff), min(1.0, ad_aff)
+        compl_aff = 0.0
+        for k, x, s, dx, ds in zip(kinds, xs, ss, dxa, dsa):
+            xa, sa = x + ap_aff * dx, s + ad_aff * ds
+            compl_aff += float(np.sum(xa * sa)) if k == PSD else float(xa @ sa)
+        sigma = float(np.clip((max(compl_aff, 0.0) / nu / mu) ** 3, 0.0, 1.0)) if mu > 0 else 0.0
+
+        corr = []
+        for k, sc, dx, ds in zip(kinds, scal, dxa, dsa):
+            if k == PSD:
+                r, rinv = sc[0], sc[1]
+                dxh = rinv @ dx @ rinv.T
+                dsh = r.T @ ds @ r
+                corr.append(0.5 * (dxh @ dsh + dsh @ dxh))
+            else:
+                corr.append(dx * ds)
+        dxs, dy, dss = newton(sigma * mu, corr)
+        ap, ad = max_steps(dxs, dss)
+        ap = min(1.0, FRACTION_TO_BOUNDARY * ap)
+        ad = min(1.0, FRACTION_TO_BOUNDARY * ad)
+        if max(ap, ad) < 1e-14:
+            status = SolveStatus.NUMERICAL_FAILURE
+            break
+        for bi, k in enumerate(kinds):
+            xs[bi] = xs[bi] + ap * dxs[bi]
+            ss[bi] = ss[bi] + ad * dss[bi]
+            if k == PSD:
+                xs[bi] = 0.5 * (xs[bi] + xs[bi].T)
+                ss[bi] = 0.5 * (ss[bi] + ss[bi].T)
+        y = y + ad * dy
 
     x_out, s_out = [], []
     for k, x, s in zip(kinds, xs, ss):

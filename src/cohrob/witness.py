@@ -18,12 +18,12 @@ import numpy as np
 
 from . import sdp
 from .linalg import as_density, as_hermitian, dephase, jacobi_eigvalsh
+from .roc import VALUE_FLOOR
 
 DIAG_TOL = 1e-10
 EIG_TOL = 1e-10
 COEFF_BOX = 1e6
 FEASIBILITY_TOL = 1e-7
-VALUE_FLOOR = 1e-9
 
 
 class InfeasibleDataError(ValueError):
@@ -166,7 +166,6 @@ def best_witness_from_data(data: WitnessDataset, tol: float = 1e-8) -> WitnessFi
               np.full(k + 1, COEFF_BOX), np.full(k + 1, COEFF_BOX)],
         rhs=rhs,
         stacks=(psd_stack, diag_stack, box_up, box_dn),
-        validate=False,
     )
 
     # strictly interior, equality-feasible start
@@ -236,7 +235,6 @@ def _phase1_deviation(data: WitnessDataset, slack: np.ndarray, tol: float) -> fl
         cost=[np.zeros((d, d), dtype=np.complex128), np.zeros(k), np.zeros(k), np.ones(1)],
         rhs=rhs,
         stacks=(psd_stack, u_stack, v_stack, eta_stack),
-        validate=False,
     )
     resid = np.array([r - float(np.trace(o).real) / d
                       for r, o in zip(rhs[:k], data.observables)])
@@ -266,8 +264,8 @@ def min_roc_from_data(data: WitnessDataset, slack=0.0, tol: float = 1e-8) -> Dat
     """
     d, k = data.dim, len(data.observables)
     slack_arr = np.broadcast_to(np.asarray(slack, dtype=float), (k,)).copy()
-    if np.any(slack_arr < 0.0):
-        raise ValueError("slack must be nonnegative")
+    if not np.all(np.isfinite(slack_arr)) or np.any(slack_arr < 0.0):
+        raise ValueError("slack must be finite and nonnegative")
 
     deviation = _phase1_deviation(data, slack_arr, tol)
     if deviation > FEASIBILITY_TOL:
@@ -288,32 +286,30 @@ def min_roc_from_data(data: WitnessDataset, slack=0.0, tol: float = 1e-8) -> Dat
     t_stack[:d, :] = np.eye(d)
     rhs = np.zeros(m)
     rhs[n_entry] = 1.0
+    # observable rows Tr[O_i rho] (+ a_i) = o_i + slack_i; with zero slack
+    # these are the equalities and rhs is exactly o_i
+    upper = n_entry + 1 + np.arange(k)
+    rho_stack[upper] = data.observables
+    rhs[upper] = np.asarray(data.expectations) + slack_arr
 
     blocks = [(sdp.PSD, d), (sdp.PSD, d), (sdp.NONNEG, d)]
     cost = [np.zeros((d, d), dtype=np.complex128),
             np.zeros((d, d), dtype=np.complex128), np.ones(d)]
     stacks = [z_stack, rho_stack, t_stack]
     if relaxed:
+        # surplus a_i on the upper rows; lower rows Tr[O_i rho] - b_i = o_i - slack_i
+        lower = upper + k
         a_stack = np.zeros((m, k))
+        a_stack[upper, np.arange(k)] = 1.0
         b_stack = np.zeros((m, k))
-        for i, (obs, o_val) in enumerate(zip(data.observables, data.expectations)):
-            rho_stack[n_entry + 1 + i] = obs
-            a_stack[n_entry + 1 + i, i] = 1.0
-            rhs[n_entry + 1 + i] = o_val + slack_arr[i]
-            rho_stack[n_entry + 1 + k + i] = obs
-            b_stack[n_entry + 1 + k + i, i] = -1.0
-            rhs[n_entry + 1 + k + i] = o_val - slack_arr[i]
+        b_stack[lower, np.arange(k)] = -1.0
+        rho_stack[lower] = data.observables
+        rhs[lower] = np.asarray(data.expectations) - slack_arr
         blocks += [(sdp.NONNEG, k), (sdp.NONNEG, k)]
         cost += [np.zeros(k), np.zeros(k)]
         stacks += [a_stack, b_stack]
-    else:
-        for i, (obs, o_val) in enumerate(zip(data.observables, data.expectations)):
-            rho_stack[n_entry + 1 + i] = obs
-            rhs[n_entry + 1 + i] = o_val
 
-    problem = sdp.ConicProblem.build(
-        blocks=blocks, cost=cost, rhs=rhs, stacks=tuple(stacks), validate=False,
-    )
+    problem = sdp.ConicProblem.build(blocks=blocks, cost=cost, rhs=rhs, stacks=stacks)
     sol = sdp.solve_or_raise(problem, sdp.SolveOptions(tol=tol))
     if sol.primal_value - 1.0 < 1e-6 and tol > 1e-10:
         refined = sdp.solve(problem, sdp.SolveOptions(tol=1e-10))

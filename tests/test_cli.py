@@ -102,6 +102,27 @@ def test_broken_json_reports_line_and_column(tmp_path, capsys):
     assert f"{path}:2:" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["roc"],
+    ["roc", "{state}", "--bogus"],
+    ["roc", "{state}", "--tol", "abc"],
+    ["bounds", "{state}", "--tol", "1e-8"],
+])
+def test_malformed_command_line_exit_one(capsys, max4_state, argv):
+    # argparse's own exit code 2 would read as a solver failure
+    with pytest.raises(SystemExit) as exc:
+        cli.main([a.format(state=max4_state) for a in argv])
+    assert exc.value.code == cli.EXIT_BAD_INPUT
+    assert "error:" in capsys.readouterr().err
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["roc", "--help"])
+    assert exc.value.code == 0
+    assert "--tol" in capsys.readouterr().out
+
+
 def test_non_state_matrix_exit_one(tmp_path, capsys):
     state = write_json(tmp_path / "traceless.json", matrix_to_json(np.eye(2)))
     assert cli.main(["roc", state]) == 1
@@ -172,6 +193,13 @@ def test_min_roc_inconsistent_data_exit_four(tmp_path, capsys):
     path = write_json(tmp_path / "bad.json", data)
     assert cli.main(["min-roc-from-data", path]) == 4
     assert "no state matches" in capsys.readouterr().err
+
+
+def test_min_roc_non_finite_slack_exit_one(tmp_path, capsys):
+    data = WitnessDataset.build([PAULI_X], [0.5])
+    path = write_json(tmp_path / "ds.json", dataset_to_json(data))
+    assert cli.main(["min-roc-from-data", "--slack", "nan", path]) == 1
+    assert "slack" in capsys.readouterr().err
 
 
 # -- game ------------------------------------------------------------------------------------
@@ -270,6 +298,27 @@ def test_tol_flag_accepts_below_floor(capsys, max4_state):
     # values under the documented floor are floored, not rejected
     assert cli.main(["roc", "--tol", "1e-14", max4_state]) == 0
     assert "value 3.000000" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("tol", ["inf", "nan", "1e300", "0", "-1e-8"])
+def test_tol_flag_rejects_non_finite_and_out_of_range(capsys, tmp_path, tol):
+    # at tol >= 1 the solver would stop at its start point: value 5.0 here,
+    # against a true 0.7207
+    state = write_json(tmp_path / "s.json", matrix_to_json(random_state(3, seed=4)))
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["roc", state, "--tol", tol])
+    assert exc.value.code == cli.EXIT_BAD_INPUT
+    assert "--tol" in capsys.readouterr().err
+
+
+def test_verify_teo_passes_tol_to_the_solves(capsys, tmp_path):
+    state = write_json(tmp_path / "s.json", matrix_to_json(random_state(3, seed=4)))
+    argv = ["verify-teo", state, "--json", "--phase-samples", "0", "--channel-samples", "0"]
+    assert cli.main(argv + ["--tol", "1e-10"]) == 0
+    tight = json.loads(capsys.readouterr().out)["equality_gap"]
+    assert tight < 1e-9
+    assert cli.main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["equality_gap"] > tight
 
 
 # -- module entry point ---------------------------------------------------------------------------

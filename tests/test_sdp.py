@@ -146,24 +146,31 @@ def test_build_rejects_dependent_constraints():
 
 def test_build_rejects_nonhermitian_coefficient():
     bad = np.array([[0.0, 1.0], [0.0, 0.0]])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="constraint data not Hermitian"):
         ConicProblem.build(
             blocks=[(PSD, 2)],
             cost=[np.eye(2)],
             rhs=[1.0],
-            coeffs=[[bad]],
+            stacks=[bad[None]],
+        )
+    with pytest.raises(ValueError, match="cost data not Hermitian"):
+        ConicProblem.build(
+            blocks=[(PSD, 2)],
+            cost=[np.eye(2) + 1e-9j * bad],
+            rhs=[1.0],
+            stacks=[np.eye(2)[None]],
         )
 
 
 def test_build_rejects_shape_mismatch_and_empty():
     with pytest.raises(ValueError):
         ConicProblem.build(blocks=[(PSD, 2)], cost=[np.eye(3)], rhs=[1.0],
-                           coeffs=[[np.eye(2)]])
+                           stacks=[np.eye(2)[None]])
     with pytest.raises(ValueError):
-        ConicProblem.build(blocks=[], cost=[], rhs=[1.0], coeffs=[[]])
+        ConicProblem.build(blocks=[], cost=[], rhs=[1.0], stacks=[])
     with pytest.raises(ValueError):
         ConicProblem.build(blocks=[("cone", 2)], cost=[np.ones(2)], rhs=[1.0],
-                           coeffs=[[np.ones(2)]])
+                           stacks=[np.ones((1, 2))])
 
 
 # -- reference programs ----------------------------------------------------------------
@@ -175,20 +182,19 @@ def one_dim_bound_problem():
         blocks=[(PSD, 1), (NONNEG, 1)],
         cost=[np.array([[1.0]]), np.zeros(1)],
         rhs=[1.0],
-        coeffs=[[np.array([[1.0]]), np.array([-1.0])]],
+        stacks=[np.ones((1, 1, 1)), np.array([[-1.0]])],
     )
 
 
 def unit_diagonal_problem(rho):
     """max Tr[Y rho] over Y >= 0 with unit diagonal, as a minimization."""
     d = rho.shape[0]
-    coeffs = [[np.diag(basis_vec).astype(np.complex128)]
-              for basis_vec in np.eye(d)]
+    rows = np.stack([np.diag(basis_vec).astype(np.complex128) for basis_vec in np.eye(d)])
     problem = ConicProblem.build(
         blocks=[(PSD, d)],
         cost=[-as_hermitian(rho)],
         rhs=np.ones(d),
-        coeffs=coeffs,
+        stacks=[rows],
     )
     start = (
         [np.eye(d, dtype=np.complex128)],
@@ -210,7 +216,6 @@ def entrywise_roc_problem(rho):
         cost=[np.zeros((d, d), dtype=np.complex128), np.ones(d)],
         rhs=entry_coords(rho),
         stacks=[-hermitian_basis(d), t_stack],
-        validate=False,
     )
     # strictly feasible start: t = diag(rho) + 2, Z = diag(t) - rho >= 1;
     # dual start Y = I/2 with slack 1/2 on the diagonal bound
@@ -249,7 +254,7 @@ def test_pure_linear_program():
         blocks=[(NONNEG, 2)],
         cost=[np.array([1.0, 2.0])],
         rhs=[1.0],
-        coeffs=[[np.array([1.0, 1.0])]],
+        stacks=[np.array([[1.0, 1.0]])],
     ))
     assert abs(sol.primal_value - 1.0) < 1e-7
     assert np.max(np.abs(sol.x[0] - np.array([1.0, 0.0]))) < 1e-6
@@ -303,7 +308,7 @@ def test_optimal_solution_invariants():
 def test_weak_duality_along_feasible_path():
     rho = random_state(3, seed=23)
     problem, start = _roc_problem(rho)
-    sol = solve_or_raise(problem, SolveOptions(start=start, record_history=True))
+    sol = solve_or_raise(problem, SolveOptions(start=start))
     assert len(sol.history) >= 2
     for entry in sol.history:
         assert entry["primal"] >= entry["dual"] - 1e-12
@@ -317,7 +322,6 @@ def scaled_cost_solves(rho, lam):
         cost=[lam * c for c in problem.cost],
         rhs=problem.rhs,
         stacks=problem.stacks,
-        validate=False,
     )
     x0, y0, s0 = start
     scaled_start = ([b.copy() for b in x0], lam * np.asarray(y0), [lam * b for b in s0])
@@ -354,7 +358,6 @@ def test_constraint_permutation_invariance():
         cost=problem.cost,
         rhs=problem.rhs[perm],
         stacks=[st[perm] for st in problem.stacks],
-        validate=False,
     )
     x0, y0, s0 = start
     permuted_start = (x0, np.asarray(y0)[perm], s0)
@@ -398,16 +401,18 @@ def test_psd_blocks_factored_once_per_iterate(monkeypatch):
     calls = []
     chol = sdp._chol
 
-    def counted(m, ridge_scale=1.0):
-        calls.append(m.shape)
-        return chol(m, ridge_scale)
+    def counted(m, ridge_scale, ladder):
+        calls.append(ladder)
+        return chol(m, ridge_scale, ladder)
 
     monkeypatch.setattr(sdp, "_chol", counted)
     problem, start = _roc_problem(random_state(4, seed=6))
     sol = solve_or_raise(problem, SolveOptions(start=start))
-    # NT scaling factors x and s once each; the step lengths reuse them
+    # NT scaling factors x and s once each, the step lengths reuse them, and
+    # the Schur complement goes through the same routine once per iterate
     assert sol.iterations > 0
-    assert len(calls) == 2 * sol.iterations
+    assert calls.count(sdp.BLOCK_JITTER) == 2 * sol.iterations
+    assert calls.count(sdp.SCHUR_JITTER) == sol.iterations
 
 
 def test_solver_deterministic():
@@ -429,13 +434,9 @@ def test_honest_max_iter_status_and_raise():
         solve_or_raise(problem, SolveOptions(max_iter=1, start=start))
 
 
-def test_iterate_log_dump(tmp_path):
-    path = tmp_path / "trace.jsonl"
+def test_iterate_log_dump():
     problem, start = unit_diagonal_problem(random_state(2, seed=3))
-    solve_or_raise(problem, SolveOptions(start=start, log_path=str(path)))
-    import json
-
-    lines = [json.loads(line) for line in path.read_text().splitlines()]
+    lines = solve_or_raise(problem, SolveOptions(start=start)).history
     assert len(lines) >= 2
     assert all(set(entry) == {"iteration", "primal", "dual", "gap"} for entry in lines)
     assert lines[-1]["gap"] <= 1e-8

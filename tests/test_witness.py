@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cohrob import sdp
 from cohrob.jsonio import dataset_from_json
 from cohrob.linalg import (
     as_hermitian,
@@ -215,6 +216,17 @@ def test_min_roc_slack_relaxes_toward_zero():
     assert fully.value == 0.0
     with pytest.raises(ValueError):
         min_roc_from_data(data, slack=-0.1)
+
+
+@pytest.mark.parametrize("slack", [float("nan"), float("inf"), [0.1, float("nan")]])
+def test_min_roc_rejects_non_finite_slack_before_solving(monkeypatch, slack):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved with non-finite slack")
+
+    monkeypatch.setattr(sdp, "solve", no_solve)
+    data = WitnessDataset.build([PAULI_X, PAULI_Z], [0.5, 0.1])
+    with pytest.raises(ValueError, match="slack"):
+        min_roc_from_data(data, slack=slack)
 
 
 def test_min_roc_minimizer_state_attains_reported_value():
