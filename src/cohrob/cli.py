@@ -23,7 +23,7 @@ from . import jsonio
 from .audit import audit
 from .games import incoherent_baseline, success_probability, verify_operational_theorem
 from .linalg import as_density, l1_coherence
-from .roc import roc_bounds, roc_exact, roc_fast_path
+from .roc import TOL_FLOOR, roc_bounds, roc_exact, roc_fast_path, roc_value
 from .sdp import SolverError
 from .witness import (
     InfeasibleDataError,
@@ -40,7 +40,7 @@ EXIT_INVALID_WITNESS = 3
 EXIT_INFEASIBLE_DATA = 4
 EXIT_THEOREM_MISMATCH = 5
 
-MIN_TOL = 1e-10
+MIN_TOL = TOL_FLOOR
 
 
 class _Parser(argparse.ArgumentParser):
@@ -218,9 +218,7 @@ def _cmd_sweep_qubit(args) -> int:
                     [[1.0 + r3, r1 - 1j * r2], [r1 + 1j * r2, 1.0 - r3]],
                     dtype=np.complex128,
                 )
-                value = roc_fast_path(rho)
-                if value is None:
-                    value = roc_exact(rho).value
+                value, _ = roc_value(rho)
                 lines.append(
                     f"{r1:.12f},{r2:.12f},{r3:.12f},{value:.12f},{l1_coherence(rho):.12f}"
                 )
@@ -265,7 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bounds", help="upper/lower bound report (JSON)")
     p.add_argument("state")
-    add_common(p, solves=False)
     p.set_defaults(func=_cmd_bounds)
 
     p = sub.add_parser("witness-bound", help="lower bound from a given witness")

@@ -25,6 +25,8 @@ CROSS_CHECK_TOL = 1e-7
 POVM_ELEMENT_FLOOR = -1e-9
 POVM_COMPLETENESS_TOL = 1e-9
 BRANCH_DROP_TOL = 1e-12
+EQUALITY_TOL = 1e-5  # verify_operational_theorem: canonical ratio vs 1 + value
+BOUND_SLACK = 1e-6  # verify_operational_theorem: sampled ratios vs the cap 1 + value
 
 
 # -- channels ---------------------------------------------------------------------
@@ -277,8 +279,6 @@ def verify_operational_theorem(
     phase_samples: int = 5,
     channel_samples: int = 2,
     seed: int = 0,
-    equality_tol: float = 1e-5,
-    bound_slack: float = 1e-6,
     tol: float = 1e-8,
 ) -> TheoremReport:
     """Check that the canonical-game ratio equals 1 + robustness, and that
@@ -303,12 +303,12 @@ def verify_operational_theorem(
                                    kraus_count=2, seed=int(rng.integers(2 ** 31)))
         channel_ratios.append(advantage_ratio(rho, game, tol=tol))
 
-    bounds_ok = all(r <= cap + bound_slack for r in phase_ratios + channel_ratios)
+    bounds_ok = all(r <= cap + BOUND_SLACK for r in phase_ratios + channel_ratios)
     return TheoremReport(
         roc=value,
         canonical_ratio=canonical_ratio,
         equality_gap=equality_gap,
-        equality_ok=equality_gap <= equality_tol,
+        equality_ok=equality_gap <= EQUALITY_TOL,
         phase_ratios=tuple(phase_ratios),
         channel_ratios=tuple(channel_ratios),
         bounds_ok=bounds_ok,

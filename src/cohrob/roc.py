@@ -27,7 +27,10 @@ from .linalg import (
     random_state,
 )
 
-VALUE_FLOOR = 1e-9  # below this the state counts as incoherent; no tau part
+VALUE_FLOOR = 1e-9  # at or below this the state counts as incoherent; no tau part
+NEAR_ZERO = 1e-6  # a first-solve value below this is refined at TOL_FLOOR
+TOL_FLOOR = 1e-10  # the smallest solver tolerance: refines and the CLI's --tol floor
+BOUNDS_SLACK = 1e-7  # roc_bounds: allowance when bracketing a supplied exact value
 
 
 @dataclass
@@ -73,21 +76,27 @@ def _roc_problem(rho: np.ndarray):
     return problem, start
 
 
+def solve_robustness(problem, start, tol: float, excess) -> tuple:
+    """(solution, value) of a robustness program whose Tr D - 1 is excess(sol).
+    A value below NEAR_ZERO continues the same solve from its final iterate to
+    TOL_FLOOR, kept if OPTIMAL; a value at or below VALUE_FLOOR is exactly 0."""
+    sol = sdp.solve_or_raise(problem, sdp.SolveOptions(tol=tol, start=start))
+    if excess(sol) < NEAR_ZERO and tol > TOL_FLOOR:
+        refined = sdp.solve(problem, sdp.SolveOptions(TOL_FLOOR, start=(sol.x, sol.y, sol.s)))
+        if refined.status is sdp.SolveStatus.OPTIMAL:
+            sol = refined
+    value = excess(sol)
+    return sol, (value if value > VALUE_FLOOR else 0.0)
+
+
 def roc_exact(rho, tol: float = 1e-8) -> RocCertificate:
     """Certified robustness of coherence of a valid state via one SDP solve."""
     rho = as_hermitian(rho)
     d = rho.shape[0]
     problem, start = _roc_problem(rho)
-    sol = sdp.solve_or_raise(problem, sdp.SolveOptions(tol=tol, start=start))
-    if -sol.dual_value - 1.0 < 1e-6 and tol > 1e-10:
-        # near-incoherent: refine at the tolerance floor so values below the
-        # 1e-9 reporting threshold are actually resolved
-        refined = sdp.solve(problem, sdp.SolveOptions(tol=1e-10, start=start))
-        if refined.status is sdp.SolveStatus.OPTIMAL:
-            sol = refined
+    sol, value = solve_robustness(problem, start, tol, lambda sol: float(np.sum(-sol.y)) - 1.0)
     d_diag = -sol.y
     trace_d = float(np.sum(d_diag))
-    value = max(0.0, trace_d - 1.0)
 
     y_mat = sol.x[0]
     y_mat = y_mat + np.diag(1.0 - np.diag(y_mat))  # lift diagonal to exactly 1
@@ -95,9 +104,7 @@ def roc_exact(rho, tol: float = 1e-8) -> RocCertificate:
 
     delta = np.diag(d_diag / trace_d).astype(np.complex128)
     z_star = np.diag(d_diag) - rho
-    tau = z_star / float(np.trace(z_star).real) if value > VALUE_FLOOR else None
-    if tau is None:
-        value = 0.0
+    tau = z_star / float(np.trace(z_star).real) if value > 0.0 else None
     return RocCertificate(
         value=value,
         gap=abs(sol.primal_value - sol.dual_value),
@@ -192,7 +199,7 @@ class BoundReport:
     consistent: bool | None = None
 
 
-def roc_bounds(rho, exact: float | None = None, slack: float = 1e-7) -> BoundReport:
+def roc_bounds(rho, exact: float | None = None) -> BoundReport:
     a = as_hermitian(rho)
     d = a.shape[0]
     l1 = l1_coherence(a)
@@ -216,8 +223,8 @@ def roc_bounds(rho, exact: float | None = None, slack: float = 1e-7) -> BoundRep
         )
         report.consistent = bool(
             chain
-            and report.lower_dim - slack <= exact <= report.upper + slack
-            and exact >= report.lower_gap_over_peak_population - slack
+            and report.lower_dim - BOUNDS_SLACK <= exact <= report.upper + BOUNDS_SLACK
+            and exact >= report.lower_gap_over_peak_population - BOUNDS_SLACK
         )
     return report
 

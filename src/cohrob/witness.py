@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import sdp
-from .linalg import as_density, as_hermitian, dephase, jacobi_eigvalsh
-from .roc import VALUE_FLOOR
+from .linalg import as_density, as_hermitian, dephase, jacobi_eigh, jacobi_eigvalsh
+from .roc import roc_exact, solve_robustness
 
 DIAG_TOL = 1e-10
 EIG_TOL = 1e-10
@@ -209,8 +209,9 @@ class DataRocResult:
     deviation: float
 
 
-def _phase1_deviation(data: WitnessDataset, slack: np.ndarray, tol: float) -> float:
-    """Smallest worst-case |Tr[O_i rho'] - o_i| - slack_i over states rho'."""
+def _phase1_deviation(data: WitnessDataset, slack: np.ndarray, tol: float) -> tuple:
+    """Smallest worst-case |Tr[O_i rho'] - o_i| - slack_i over states rho',
+    and a state that attains it."""
     d, k = data.dim, len(data.observables)
     m = 2 * k + 1
     psd_stack = np.zeros((m, d, d), dtype=np.complex128)
@@ -250,7 +251,25 @@ def _phase1_deviation(data: WitnessDataset, slack: np.ndarray, tol: float) -> fl
          np.array([1.0 - 2 * k * eps])],
     )
     sol = sdp.solve_or_raise(problem, sdp.SolveOptions(tol=tol, start=start))
-    return max(0.0, float(sol.primal_value))
+    return max(0.0, float(sol.primal_value)), sol.x[0]
+
+
+def _pinned_state(data: WitnessDataset, slack: np.ndarray, state: np.ndarray):
+    """The pure state vv^H when it is the only state matching the data, else None.
+
+    `state` is phase 1's interior-point solution, so it has the largest rank
+    of any consistent state: when its second eigenvalue vanishes, the
+    consistent set is the single point vv^H, which is then checked against
+    every expectation outside the solver.
+    """
+    lam, vecs = jacobi_eigh(state)
+    if lam.size < 2 or lam[-2] > FEASIBILITY_TOL:
+        return None
+    v = vecs[:, -1]
+    for obs, o_val, s in zip(data.observables, data.expectations, slack):
+        if abs(float(np.vdot(v, obs @ v).real) - o_val) > FEASIBILITY_TOL + s:
+            return None
+    return np.outer(v, v.conj())
 
 
 def min_roc_from_data(data: WitnessDataset, slack=0.0, tol: float = 1e-8) -> DataRocResult:
@@ -261,15 +280,24 @@ def min_roc_from_data(data: WitnessDataset, slack=0.0, tol: float = 1e-8) -> Dat
     minimizes the diagonal-majorant trace jointly over the state and the
     majorant under the expectation constraints.  `slack` relaxes each
     equality to an interval of that half-width (scalar or per-observable).
+
+    When the data pin down a single pure state, the joint program has no
+    interior point and the value is that state's robustness, so `roc_exact`
+    answers instead (the one-point case of facial reduction).  Values below
+    1e-6 are refined and values at or below 1e-9 are 0, as in `roc_exact`.
     """
     d, k = data.dim, len(data.observables)
     slack_arr = np.broadcast_to(np.asarray(slack, dtype=float), (k,)).copy()
     if not np.all(np.isfinite(slack_arr)) or np.any(slack_arr < 0.0):
         raise ValueError("slack must be finite and nonnegative")
 
-    deviation = _phase1_deviation(data, slack_arr, tol)
+    deviation, phase1_state = _phase1_deviation(data, slack_arr, tol)
     if deviation > FEASIBILITY_TOL:
         raise InfeasibleDataError(deviation)
+    pinned = _pinned_state(data, slack_arr, phase1_state)
+    if pinned is not None:
+        return DataRocResult(value=roc_exact(pinned, tol=tol).value, state=pinned,
+                             deviation=deviation)
 
     basis = sdp.hermitian_basis(d)
     n_entry = d * d
@@ -310,14 +338,7 @@ def min_roc_from_data(data: WitnessDataset, slack=0.0, tol: float = 1e-8) -> Dat
         stacks += [a_stack, b_stack]
 
     problem = sdp.ConicProblem.build(blocks=blocks, cost=cost, rhs=rhs, stacks=stacks)
-    sol = sdp.solve_or_raise(problem, sdp.SolveOptions(tol=tol))
-    if sol.primal_value - 1.0 < 1e-6 and tol > 1e-10:
-        refined = sdp.solve(problem, sdp.SolveOptions(tol=1e-10))
-        if refined.status is sdp.SolveStatus.OPTIMAL:
-            sol = refined
-
-    value = max(0.0, float(sol.primal_value) - 1.0)
-    if value < VALUE_FLOOR:
-        value = 0.0
+    # the cost is Tr t with t = diag(Z + rho), so Tr D - 1 is the primal value - 1
+    sol, value = solve_robustness(problem, None, tol, lambda sol: float(sol.primal_value) - 1.0)
     state = as_density(sol.x[1] / float(np.trace(sol.x[1]).real))
     return DataRocResult(value=value, state=state, deviation=deviation)

@@ -1,9 +1,11 @@
-"""Shared test plumbing: fixture loading and hypothesis profile."""
+"""Shared test plumbing: fixture loading, solve recording, hypothesis profile."""
 import json
 import os
 
 import pytest
 from hypothesis import HealthCheck, settings
+
+from cohrob import sdp
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -48,3 +50,18 @@ def load_fixture():
             return json.load(fh)
 
     return _load
+
+
+@pytest.fixture
+def recorded_solves(monkeypatch):
+    """Every sdp.solve call the test makes, as (options, solution) in order."""
+    solves = []
+    real_solve = sdp.solve
+
+    def recorded(problem, options=None):
+        sol = real_solve(problem, options)
+        solves.append((options, sol))
+        return sol
+
+    monkeypatch.setattr(sdp, "solve", recorded)
+    return solves

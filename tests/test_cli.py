@@ -107,6 +107,7 @@ def test_broken_json_reports_line_and_column(tmp_path, capsys):
     ["roc", "{state}", "--bogus"],
     ["roc", "{state}", "--tol", "abc"],
     ["bounds", "{state}", "--tol", "1e-8"],
+    ["bounds", "{state}", "--json"],
 ])
 def test_malformed_command_line_exit_one(capsys, max4_state, argv):
     # argparse's own exit code 2 would read as a solver failure

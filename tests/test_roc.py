@@ -49,39 +49,35 @@ def test_diagonal_state_value_zero_with_trivial_witness():
     assert witness_lower_bound(np.diag([0.2, 0.3, 0.5]), np.zeros((3, 3))) == 0.0
 
 
-def _counting_solve(monkeypatch):
-    tols = []
-    real_solve = sdp.solve
+def _assert_refine_continues(solves):
+    """The 1e-10 solve starts from the first solve's final iterate and
+    finishes within 3 iterations."""
+    assert [o.tol for o, _ in solves] == [1e-8, 1e-10]
+    (_, first), (refine_opts, refined) = solves
+    x0, y0, s0 = refine_opts.start
+    assert x0 is first.x and y0 is first.y and s0 is first.s
+    assert refined.status is sdp.SolveStatus.OPTIMAL
+    assert refined.iterations <= 3
 
-    def counted(problem, options=None):
-        tols.append(options.tol)
-        return real_solve(problem, options)
 
-    monkeypatch.setattr(sdp, "solve", counted)
-    return tols
-
-
-def test_near_incoherent_state_triggers_refine(monkeypatch):
+def test_near_incoherent_state_triggers_refine(recorded_solves):
     sigma = random_state(4, seed=6)
     rho = dephase(sigma) + 1e-9 * (sigma - dephase(sigma))
-    tols = _counting_solve(monkeypatch)
     cert = roc_exact(rho)
-    assert tols == [1e-8, 1e-10]
+    _assert_refine_continues(recorded_solves)
     assert cert.value < 1e-8
 
 
-def test_diagonal_state_refines_to_zero(monkeypatch):
-    tols = _counting_solve(monkeypatch)
+def test_diagonal_state_refines_to_zero(recorded_solves):
     cert = roc_exact(np.diag([0.2, 0.3, 0.5]))
-    assert tols == [1e-8, 1e-10]
+    _assert_refine_continues(recorded_solves)
     assert cert.value == 0.0
     assert cert.noise_part is None
 
 
-def test_coherent_state_solves_once(monkeypatch):
-    tols = _counting_solve(monkeypatch)
+def test_coherent_state_solves_once(recorded_solves):
     cert = roc_exact(random_state(4, seed=6))
-    assert tols == [1e-8]
+    assert [o.tol for o, _ in recorded_solves] == [1e-8]
     assert cert.value > 0.1
 
 

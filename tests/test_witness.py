@@ -10,6 +10,7 @@ from cohrob.linalg import (
     as_hermitian,
     dephase,
     density_of,
+    l1_coherence,
     matrix_norms,
     maximally_coherent_state,
     random_pure,
@@ -191,11 +192,56 @@ def test_min_roc_informationally_complete_qubit():
     assert result.deviation <= 1e-7
 
 
-def test_min_roc_single_diagonal_observable():
+def test_min_roc_single_diagonal_observable(recorded_solves):
     data = WitnessDataset.build([np.diag([1.0, -1.0, 0.0])], [0.4])
     result = min_roc_from_data(data)
     assert result.value == 0.0
     assert abs(np.trace(np.diag([1.0, -1.0, 0.0]) @ result.state).real - 0.4) < 1e-6
+    # phase 1, the joint program, and its refine continued from the joint
+    # program's final iterate
+    assert [o.tol for o, _ in recorded_solves] == [1e-8, 1e-8, 1e-10]
+    (_, first), (refine_opts, refined) = recorded_solves[1:]
+    x0, y0, s0 = refine_opts.start
+    assert x0 is first.x and y0 is first.y and s0 is first.s
+    assert refined.status is sdp.SolveStatus.OPTIMAL
+    assert refined.iterations <= 3
+
+
+def _pinned_qutrit_data(seed):
+    """A pure qutrit rho and six observables that fix it.
+
+    N1 and N2 act as sigma_z and sigma_x on ker rho; the observables span the
+    complement of span{1, N1, N2}.  The states matching the data are then
+    rho + b N1 + c N2, and only b = c = 0 is PSD, so the data program has no
+    interior point.
+    """
+    rho = density_of(random_pure(3, seed=seed))
+    ker = np.linalg.eigh(rho)[1][:, :2]
+    free = [np.eye(3), ker @ PAULI_Z @ ker.conj().T, ker @ PAULI_X @ ker.conj().T]
+
+    def vec(m):
+        return np.concatenate([m.real.ravel(), m.imag.ravel()])
+
+    q = np.linalg.qr(np.stack([vec(m) for m in free], axis=1))[0]
+    herm = np.stack([vec(m) for m in sdp.hermitian_basis(3)], axis=1)
+    u = np.linalg.svd(herm - q @ (q.T @ herm))[0][:, :6]
+    obs = [(c[:9] + 1j * c[9:]).reshape(3, 3) for c in u.T]
+    return rho, WitnessDataset.from_state(rho, obs)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_min_roc_pinned_pure_qutrit(seed):
+    rho, data = _pinned_qutrit_data(seed)
+    result = min_roc_from_data(data)
+    assert abs(result.value - l1_coherence(rho)) < 1e-6
+    assert np.max(np.abs(result.state - rho)) < 1e-6
+
+
+def test_min_roc_pinned_data_with_slack_is_not_pinned():
+    # the slack window holds full-rank states, so the joint program runs and
+    # goes below the pinned state's value
+    rho, data = _pinned_qutrit_data(1)
+    assert min_roc_from_data(data, slack=0.01).value < l1_coherence(rho) - 0.01
 
 
 def test_min_roc_inconsistent_data_raises():
