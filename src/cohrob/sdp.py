@@ -13,6 +13,15 @@ The engine is deliberately small: one input form (stacked constraint
 arrays), dense linear algebra, one Cholesky-with-jitter routine for the NT
 blocks and the Schur complement, and no infeasibility certificates (every
 problem built by this package is constructed feasible).
+
+The constraint map A, its adjoint and the Schur complement M = A(W A^T(.) W)
+come from one of two row forms, chosen from the data at build time.  The
+unit-diagonal form, one PSD block of size d whose d rows are E_jj (the
+robustness program's diag(Y) = 1), reads and writes diagonals and assembles M
+from the squared entries of W in O(d^2) (the max-cut structure of Helmberg,
+Rendl, Vanderbei and Wolkowicz, SIAM J. Optim. 6, 1996).  Every other problem
+uses the realified stacks.  Everything else, from NT scaling and step lengths
+to the stopping tests and extraction, is one path for both.
 """
 from __future__ import annotations
 
@@ -87,12 +96,19 @@ class ConicProblem:
     stacks: per block, the m constraint coefficients stacked along axis 0,
         shaped (m, d, d) complex or (m, n) real.
     rhs: real vector, one entry per constraint.
+    unit_diagonal: derived from the data, never passed: the only block is PSD
+        of size m and row j is E_jj, so the solver takes the unit-diagonal
+        row form.
     """
 
     blocks: tuple
     cost: tuple
     stacks: tuple
     rhs: np.ndarray
+    unit_diagonal: bool = field(init=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "unit_diagonal", _selects_diagonal(self.blocks, self.stacks))
 
     @staticmethod
     def build(blocks, cost, rhs, stacks) -> "ConicProblem":
@@ -159,6 +175,17 @@ class ConicProblem:
         rank = int(np.sum(w > GRAM_RANK_TOL * top))
         if rank < m:
             raise ValueError(f"constraints are linearly dependent (rank {rank} < {m})")
+
+
+def _selects_diagonal(blocks, stacks) -> bool:
+    """True when the only block is PSD of size d and its d rows are E_jj."""
+    if len(blocks) != 1 or blocks[0][0] != PSD:
+        return False
+    st, d = stacks[0], blocks[0][1]
+    if st.shape != (d, d, d):
+        return False
+    j = np.arange(d)
+    return bool(np.all(st[j, j, j] == 1.0) and np.count_nonzero(st) == d)
 
 
 @dataclass
@@ -238,24 +265,94 @@ def _max_step_nonneg(x, dx):
     return float(np.min(-x[neg] / dx[neg]))
 
 
+class _StackedRows:
+    """A, its adjoint and the Schur complement from the realified stacks; the
+    uniform factor 2 on nonneg rows matches the factor 2 of realification."""
+
+    def __init__(self, problem: ConicProblem):
+        self.m = problem.rhs.size
+        self.kinds = [k for k, _ in problem.blocks]
+        self.stacks = [realify(st) if k == PSD else 2.0 * st
+                       for k, st in zip(self.kinds, problem.stacks)]
+        self.flats = [a.reshape(self.m, -1) for a in self.stacks]
+
+    def apply(self, vals):
+        out = np.zeros(self.m)
+        for f, v in zip(self.flats, vals):
+            out += f @ v.reshape(-1)
+        return out
+
+    def adjoint(self, vec):
+        return [
+            np.tensordot(vec, a, axes=1) if k == PSD else vec @ a
+            for k, a in zip(self.kinds, self.stacks)
+        ]
+
+    def schur(self, ws):
+        """M = A(W A^T(.) W) for the per-block NT matrices ws."""
+        m = self.m
+        schur = np.zeros((m, m))
+        for k, a, f, w in zip(self.kinds, self.stacks, self.flats, ws):
+            if k == PSD:
+                t = np.matmul(np.matmul(w[None], a), w[None])
+                schur += f @ t.reshape(m, -1).T
+            else:
+                schur += (a * (w * w)) @ a.T
+        return schur
+
+    def add_scaled(self, vec, ws, rds):
+        """vec += A(W R W), block by block, in place."""
+        for k, f, w, rd in zip(self.kinds, self.flats, ws, rds):
+            if k == PSD:
+                vec += f @ (w @ rd @ w).reshape(-1)
+            else:
+                vec += f @ (w * w * rd)
+
+
+class _UnitDiagonalRows:
+    """Rows E_jj on one PSD block of size d.  Realified, row j selects the
+    entries (j, j) and (d + j, d + j): A reads and A^T writes the diagonal,
+    and M_ij sums W_pq^2 over p in {i, d + i} and q in {j, d + j}."""
+
+    def __init__(self, d: int):
+        self.d = d
+
+    def _fold(self, v):
+        return v[:self.d] + v[self.d:]
+
+    def apply(self, vals):
+        return self._fold(np.diag(vals[0]))
+
+    def adjoint(self, vec):
+        return [np.diag(np.concatenate([vec, vec]))]
+
+    def schur(self, ws):
+        """M = A(W A^T(.) W) from Q = W o W, the sum of its four d x d quadrants."""
+        q, d = ws[0] * ws[0], self.d
+        return q[:d, :d] + q[:d, d:] + q[d:, :d] + q[d:, d:]
+
+    def add_scaled(self, vec, ws, rds):
+        """vec += A(W R W), which needs only the diagonal of W R W."""
+        w = ws[0]
+        vec += self._fold(np.einsum("ij,ji->i", w @ rds[0], w))
+
+
 def solve(problem: ConicProblem, options: SolveOptions | None = None) -> ConicSolution:
     opts = options or SolveOptions()
     kinds = [k for k, _ in problem.blocks]
     m = problem.rhs.size
+    rows = _UnitDiagonalRows(m) if problem.unit_diagonal else _StackedRows(problem)
 
     # realified data; the uniform factor 2 on rhs keeps PSD and nonneg
     # blocks consistent and is divided out at extraction
-    astacks, costs, sizes = [], [], []
-    for (kind, n), st, c in zip(problem.blocks, problem.stacks, problem.cost):
+    costs, sizes = [], []
+    for (kind, n), c in zip(problem.blocks, problem.cost):
         if kind == PSD:
-            astacks.append(realify(st))
             costs.append(realify(c))
             sizes.append(2 * n)
         else:
-            astacks.append(2.0 * st)
             costs.append(2.0 * c)
             sizes.append(n)
-    flats = [a.reshape(m, -1) for a in astacks]
     rhs = 2.0 * problem.rhs
     nu = float(sum(sizes))
     cnorm = np.sqrt(sum(float(np.sum(c * c)) for c in costs))
@@ -273,26 +370,14 @@ def solve(problem: ConicProblem, options: SolveOptions | None = None) -> ConicSo
               for k, v in zip(kinds, s0)]
         y = np.asarray(y0, dtype=float).copy()
 
-    def apply_a(vals):
-        out = np.zeros(m)
-        for f, v in zip(flats, vals):
-            out += f @ v.reshape(-1)
-        return out
-
-    def apply_at(vec):
-        return [
-            np.tensordot(vec, a, axes=1) if k == PSD else vec @ a
-            for k, a in zip(kinds, astacks)
-        ]
-
     history = []
     status = SolveStatus.MAX_ITER
     it = 0
     for it in range(opts.max_iter + 1):
         pobj = sum(float(np.sum(c * x)) for c, x in zip(costs, xs))
         dobj = float(rhs @ y)
-        rp = rhs - apply_a(xs)
-        aty = apply_at(y)
+        rp = rhs - rows.apply(xs)
+        aty = rows.adjoint(y)
         rds = [c - at - s for c, at, s in zip(costs, aty, ss)]
         compl = sum(
             float(np.sum(x * s)) if k == PSD else float(x @ s)
@@ -330,15 +415,8 @@ def solve(problem: ConicProblem, options: SolveOptions | None = None) -> ConicSo
             status = SolveStatus.NUMERICAL_FAILURE
             break
 
-        # Schur complement  M = A(W A^T(.) W)
-        schur = np.zeros((m, m))
-        for k, a, f, sc in zip(kinds, astacks, flats, scal):
-            w = sc[2]
-            if k == PSD:
-                t = np.matmul(np.matmul(w[None], a), w[None])
-                schur += f @ t.reshape(m, -1).T
-            else:
-                schur += (a * (w * w)) @ a.T
+        ws = [sc[2] for sc in scal]
+        schur = rows.schur(ws)
         lm = _chol(schur, max(1.0, float(np.max(np.diag(schur)))), SCHUR_JITTER)
         if lm is None:
             status = SolveStatus.NUMERICAL_FAILURE
@@ -361,15 +439,10 @@ def solve(problem: ConicProblem, options: SolveOptions | None = None) -> ConicSo
                     if e is not None:
                         num = num - e
                     ks.append(num / s)
-            vec = rp - apply_a(ks)
-            for k, sc, rd, f in zip(kinds, scal, rds, flats):
-                w = sc[2]
-                if k == PSD:
-                    vec += f @ (w @ rd @ w).reshape(-1)
-                else:
-                    vec += f @ (w * w * rd)
+            vec = rp - rows.apply(ks)
+            rows.add_scaled(vec, ws, rds)
             dy = np.linalg.solve(lm.T, np.linalg.solve(lm, vec))
-            atdy = apply_at(dy)
+            atdy = rows.adjoint(dy)
             dss, dxs = [], []
             for k, sc, rd, at, kk in zip(kinds, scal, rds, atdy, ks):
                 ds = rd - at

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import sdp
+from .games import CROSS_CHECK_TOL
 from .linalg import as_density, as_hermitian, dephase, jacobi_eigh, jacobi_eigvalsh
 from .roc import roc_exact, solve_robustness
 
@@ -150,6 +151,11 @@ def best_witness_from_data(data: WitnessDataset, tol: float = 1e-8) -> WitnessFi
     row corresponds to one coefficient, the PSD block enforces W <= 1, the
     first nonnegative block enforces the nonnegative diagonal, and two box
     blocks cap |c_i|, |m| at 1e6 for numerical safety (flagged if active).
+
+    The solve is checked outside the engine before anything is returned: the
+    witness must pass validate_witness, and the bound recomputed from the
+    data, -(sum_i c_i o_i + m), must agree with the solve's dual value within
+    CROSS_CHECK_TOL.  Raises SolverError naming the failing quantity.
     """
     d, k = data.dim, len(data.observables)
     basis_rows = list(data.observables) + [np.eye(d, dtype=np.complex128)]
@@ -188,8 +194,20 @@ def best_witness_from_data(data: WitnessDataset, tol: float = 1e-8) -> WitnessFi
     witness = sum(c * o for c, o in zip(coeffs, data.observables))
     witness = as_hermitian(witness + offset * np.eye(d))
     box_active = bool(np.max(np.abs(sol.y)) >= 0.999 * COEFF_BOX)
+    report = validate_witness(witness)
+    if not report.valid:
+        raise sdp.SolverError(
+            f"fitted witness is invalid: diag_min={report.diag_min:.3e}, "
+            f"eig_excess={report.eig_excess:.3e}"
+        )
+    bound = -(float(coeffs @ np.asarray(data.expectations)) + offset)
+    if abs(bound - sol.dual_value) > CROSS_CHECK_TOL:
+        raise sdp.SolverError(
+            f"witness bound {bound!r} from the data differs from the dual value "
+            f"{sol.dual_value!r} by more than {CROSS_CHECK_TOL}"
+        )
     return WitnessFit(
-        bound=max(0.0, float(sol.dual_value)),
+        bound=max(0.0, bound),
         coefficients=coeffs,
         offset=offset,
         witness=witness,

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from cohrob import sdp
+from cohrob.games import random_channel_game, random_phase_game, success_probability
 from cohrob.jsonio import matrix_from_json
 from cohrob.linalg import (
     as_hermitian,
@@ -11,7 +12,7 @@ from cohrob.linalg import (
     maximally_coherent_state,
     random_state,
 )
-from cohrob.roc import VALUE_FLOOR, _roc_problem, roc_exact
+from cohrob.roc import VALUE_FLOOR, _roc_problem, check_certificate, roc_exact
 from cohrob.sdp import (
     NONNEG,
     PSD,
@@ -27,6 +28,7 @@ from cohrob.sdp import (
     solve_or_raise,
     unrealify,
 )
+from cohrob.witness import WitnessDataset, best_witness_from_data, min_roc_from_data
 
 # -- realification ------------------------------------------------------------------
 
@@ -348,11 +350,8 @@ def test_scaling_invariance_of_argmin_set_on_flat_face():
     assert abs(value_at_scaled_argmin - base.primal_value) < 1e-6
 
 
-def test_constraint_permutation_invariance():
-    rho = random_state(3, seed=37)
-    problem, start = entrywise_roc_problem(rho)
-    base = solve_or_raise(problem, SolveOptions(start=start))
-    perm = np.array([4, 0, 7, 2, 6, 1, 8, 3, 5])
+def permute_rows(problem, start, perm):
+    """The same program and start with the constraint rows in the order perm."""
     permuted = ConicProblem.build(
         blocks=problem.blocks,
         cost=problem.cost,
@@ -360,7 +359,15 @@ def test_constraint_permutation_invariance():
         stacks=[st[perm] for st in problem.stacks],
     )
     x0, y0, s0 = start
-    permuted_start = (x0, np.asarray(y0)[perm], s0)
+    return permuted, (x0, np.asarray(y0)[perm], s0)
+
+
+def test_constraint_permutation_invariance():
+    rho = random_state(3, seed=37)
+    problem, start = entrywise_roc_problem(rho)
+    base = solve_or_raise(problem, SolveOptions(start=start))
+    perm = np.array([4, 0, 7, 2, 6, 1, 8, 3, 5])
+    permuted, permuted_start = permute_rows(problem, start, perm)
     other = solve_or_raise(permuted, SolveOptions(start=permuted_start))
     assert abs(other.primal_value - base.primal_value) < 1e-9
     assert abs(other.dual_value - base.dual_value) < 1e-9
@@ -395,6 +402,95 @@ def test_roc_problem_has_one_row_per_diagonal_entry():
     problem, _ = _roc_problem(random_state(16, seed=4))
     assert problem.rhs.size == 16
     assert problem.blocks == ((PSD, 16),)
+
+
+# -- unit-diagonal row form -------------------------------------------------------------
+
+
+def test_unit_diagonal_form_is_detected_from_the_rows():
+    rho = random_state(4, seed=3)
+    problem, start = _roc_problem(rho)
+    assert problem.unit_diagonal
+    assert unit_diagonal_problem(rho)[0].unit_diagonal
+    assert not entrywise_roc_problem(rho)[0].unit_diagonal
+    assert not permute_rows(problem, start, np.array([1, 0, 2, 3]))[0].unit_diagonal
+    scaled = ConicProblem.build(problem.blocks, problem.cost, 2.0 * problem.rhs,
+                                [2.0 * problem.stacks[0]])
+    assert not scaled.unit_diagonal
+
+
+def test_games_and_data_programs_take_the_stacked_rows(monkeypatch):
+    solved = []
+    real_solve = sdp.solve
+
+    def recording(problem, options=None):
+        solved.append(problem)
+        return real_solve(problem, options)
+
+    monkeypatch.setattr(sdp, "solve", recording)
+    probe = random_state(3, seed=2)
+    success_probability(random_phase_game(3, 3, seed=1), probe)
+    success_probability(random_channel_game(3, outcomes=2, seed=1), probe)
+    rng = np.random.default_rng(5)
+    obs = [as_hermitian(g + g.conj().T) for g in
+           rng.normal(size=(3, 3, 3)) + 1j * rng.normal(size=(3, 3, 3))]
+    data = WitnessDataset.from_state(random_state(3, seed=5), obs)
+    best_witness_from_data(data)
+    min_roc_from_data(data)
+    min_roc_from_data(data, slack=0.01)
+    # phase 1 and the joint program for each data solve, plus the fit and
+    # the two measurement programs: none is the robustness program
+    assert len(solved) >= 7
+    assert not any(problem.unit_diagonal for problem in solved)
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_unit_diagonal_rows_match_stacked_assembly(d):
+    rng = np.random.default_rng(100 + d)
+    problem, _ = _roc_problem(random_state(d, seed=d))
+    fast, ref = sdp._UnitDiagonalRows(d), sdp._StackedRows(problem)
+    g = rng.normal(size=(2 * d, 2 * d))
+    w = g @ g.T + 0.1 * np.eye(2 * d)  # random positive definite
+    h = rng.normal(size=(2 * d, 2 * d))
+    x = h + h.T
+    y = rng.normal(size=d)
+
+    def close(a, b):
+        return np.max(np.abs(a - b)) <= 1e-12 * max(np.max(np.abs(b)), 1.0)
+
+    assert close(fast.schur([w]), ref.schur([w]))
+    assert close(fast.apply([x]), ref.apply([x]))
+    assert close(fast.adjoint(y)[0], ref.adjoint(y)[0])
+    vec_fast, vec_ref = y.copy(), y.copy()
+    fast.add_scaled(vec_fast, [w], [x])
+    ref.add_scaled(vec_ref, [w], [x])
+    assert close(vec_fast, vec_ref)
+
+
+@pytest.mark.parametrize("d", [16, 32])
+@pytest.mark.parametrize("rank", ["full", 2])
+def test_roc_exact_at_benchmark_sizes(d, rank):
+    rho = random_state(d, rank=d if rank == "full" else rank, seed=d + 3)
+    cert = roc_exact(rho)
+    # the benchmark's bounds (bench/checks.py): 1e-6 relative on values,
+    # 1e-9 on diagonals, 1e-7 on eigenvalue floors
+    tol = 1e-6 * max(1.0, cert.value)
+    report = check_certificate(rho, cert)
+    assert report["witness_diag_peak"] <= 1e-9
+    assert report["witness_eig_excess"] <= 1e-6
+    assert report["value_mismatch"] <= tol
+    assert report["reconstruction_err"] <= tol
+    assert report["tau_eig_floor"] >= -1e-7
+    assert report["delta_pop_floor"] >= -1e-9
+    # the same program with its rows permuted takes the stacked rows; its
+    # bracket [Tr[Y rho] - 1, Tr D - 1] is the reference.  Both solves read
+    # Tr D - 1 from the same central path, so their upper ends differ by
+    # roundoff (below 2e-12 on 20 seeded states), not by the 1e-8 gap
+    problem, start = _roc_problem(rho)
+    permuted, permuted_start = permute_rows(problem, start, np.roll(np.arange(d), 1))
+    assert not permuted.unit_diagonal
+    ref = solve_or_raise(permuted, SolveOptions(start=permuted_start))
+    assert -ref.primal_value - 1.0 <= cert.value <= -ref.dual_value - 1.0 + 1e-10
 
 
 def test_psd_blocks_factored_once_per_iterate(monkeypatch):

@@ -180,6 +180,38 @@ def test_best_witness_output_is_valid_witness():
     assert np.max(np.abs(recon - fit.witness)) < 1e-10
 
 
+def _fit_with_perturbed_dual(monkeypatch, perturb):
+    """best_witness_from_data on a qutrit dataset whose solve returns perturb(y)."""
+    real_solve = sdp.solve
+
+    def perturbed(problem, options=None):
+        sol = real_solve(problem, options)
+        sol.y = perturb(sol.y)
+        return sol
+
+    monkeypatch.setattr(sdp, "solve", perturbed)
+    data = WitnessDataset.from_state(random_state(3, seed=14), [
+        np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]),
+        np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]),
+    ])
+    return best_witness_from_data(data)
+
+
+def test_best_witness_rejects_bound_that_disagrees_with_the_data(monkeypatch):
+    # shrinking W by 1e-5 keeps it a valid witness (its diagonal stays
+    # nonnegative and its top eigenvalue below 1) but moves the bound
+    # recomputed from the data away from the solve's dual value
+    with pytest.raises(sdp.SolverError, match="differs from the dual value"):
+        _fit_with_perturbed_dual(monkeypatch, lambda y: (1.0 - 1e-5) * y)
+
+
+def test_best_witness_rejects_invalid_witness(monkeypatch):
+    # the optimal W has its top eigenvalue at the cap of 1; raising the
+    # offset by 0.1 lifts it past the cap
+    with pytest.raises(sdp.SolverError, match="eig_excess"):
+        _fit_with_perturbed_dual(monkeypatch, lambda y: y + 0.1 * np.eye(y.size)[-1])
+
+
 # -- minimal robustness from data ---------------------------------------------------------
 
 
