@@ -5,23 +5,27 @@ Solves   min  sum_b <C_b, X_b>
               X_b in PSD cone or nonnegative orthant, per block
 
 by a primal-dual path-following method with Nesterov-Todd scaling and a
-Mehrotra predictor-corrector step.  Complex Hermitian blocks are mapped to
-real symmetric blocks of twice the size; the factor-2 value inflation this
-introduces is divided out when the solution is extracted.
+Mehrotra predictor-corrector step.
 
 The engine is deliberately small: one input form (stacked constraint
 arrays), dense linear algebra, one Cholesky-with-jitter routine for the NT
 blocks and the Schur complement, and no infeasibility certificates (every
 problem built by this package is constructed feasible).
 
-The constraint map A, its adjoint and the Schur complement M = A(W A^T(.) W)
-come from one of two row forms, chosen from the data at build time.  The
-unit-diagonal form, one PSD block of size d whose d rows are E_jj (the
-robustness program's diag(Y) = 1), reads and writes diagonals and assembles M
-from the squared entries of W in O(d^2) (the max-cut structure of Helmberg,
-Rendl, Vanderbei and Wolkowicz, SIAM J. Optim. 6, 1996).  Every other problem
-uses the realified stacks.  Everything else, from NT scaling and step lengths
-to the stopping tests and extraction, is one path for both.
+The interior-point loop is dtype-generic: it writes conjugate transposes,
+takes the real part of trace inner products and reads the jitter scale from
+the real diagonal, so one path runs complex Hermitian or real symmetric
+blocks.  The representation, the constraint map A, its adjoint and the Schur
+complement M = A(W A^T(.) W) come from one of two row forms, chosen from the
+data at build time.  The unit-diagonal form, one PSD block of size d whose d
+rows are E_jj (the robustness program's diag(Y) = 1), keeps the d x d block
+complex, reads and writes diagonals and assembles M = |W| o |W| in O(d^2)
+(the max-cut structure of Helmberg, Rendl, Vanderbei and Wolkowicz, SIAM J.
+Optim. 6, 1996).  Every other problem uses the stacked rows on the realified
+image: complex Hermitian blocks become real symmetric blocks of twice the
+size, and the factor-2 value inflation this introduces is divided out when
+the solution is extracted.  NT scaling, step lengths, the stopping tests and
+the update are one path for both.
 """
 from __future__ import annotations
 
@@ -211,7 +215,7 @@ class ConicSolution:
     history: list = field(default_factory=list)
 
 
-# -- internal real-arithmetic core ----------------------------------------------
+# -- interior-point core -------------------------------------------------------
 
 FRACTION_TO_BOUNDARY = 0.98
 # Cholesky jitter ladders, in units of ridge_scale: the largest diagonal entry
@@ -231,28 +235,39 @@ def _chol(m, ridge_scale, ladder):
     return None
 
 
+def _h(a):
+    """Conjugate transpose; a view, and plain .T, on real arrays."""
+    return a.conj().T
+
+
+def _inner(a, b) -> float:
+    """Re sum conj(a) b, the trace inner product of two PSD blocks (np.sum's
+    order, which real blocks have always used)."""
+    return float(np.sum(a.conj() * b).real)
+
+
 def _nt_scaling(x, s):
     """NT scaling of a PSD block: returns (R, Rinv, W, lam, Lx, Ls) with
-    Rinv x Rinv.T = R.T s R = diag(lam), W = R R.T, and Lx, Ls the
+    Rinv x Rinv^H = R^H s R = diag(lam), W = R R^H, and Lx, Ls the
     Cholesky factors of x and s.  The step-length tests of the same
     iterate reuse Lx and Ls, so each block is factored once per iterate."""
-    lx = _chol(x, max(float(np.max(np.diag(x))), 1e-300), BLOCK_JITTER)
-    ls = _chol(s, max(float(np.max(np.diag(s))), 1e-300), BLOCK_JITTER)
+    lx = _chol(x, max(float(np.max(np.diag(x).real)), 1e-300), BLOCK_JITTER)
+    ls = _chol(s, max(float(np.max(np.diag(s).real)), 1e-300), BLOCK_JITTER)
     if lx is None or ls is None:
         return None
-    u, lam, vt = np.linalg.svd(ls.T @ lx)
+    u, lam, vt = np.linalg.svd(_h(ls) @ lx)
     if lam[-1] <= 0.0:
         return None
     inv_sqrt = 1.0 / np.sqrt(lam)
-    r = lx @ vt.T * inv_sqrt
-    rinv = (inv_sqrt[:, None] * u.T) @ ls.T
-    return r, rinv, r @ r.T, lam, lx, ls
+    r = lx @ _h(vt) * inv_sqrt
+    rinv = (inv_sqrt[:, None] * _h(u)) @ _h(ls)
+    return r, rinv, r @ _h(r), lam, lx, ls
 
 
 def _max_step_psd(lx, dx):
     z = np.linalg.solve(lx, dx)
-    n = np.linalg.solve(lx, z.T)
-    wmin = float(np.linalg.eigvalsh(0.5 * (n + n.T))[0])
+    n = np.linalg.solve(lx, _h(z))
+    wmin = float(np.linalg.eigvalsh(0.5 * (n + _h(n)))[0])
     if wmin >= -1e-14:
         return np.inf
     return 1.0 / (-wmin)
@@ -266,15 +281,37 @@ def _max_step_nonneg(x, dx):
 
 
 class _StackedRows:
-    """A, its adjoint and the Schur complement from the realified stacks; the
-    uniform factor 2 on nonneg rows matches the factor 2 of realification."""
+    """The realified image of every block: PSD data and iterates are real
+    symmetric of twice the size, and the cost, the rhs and the nonneg slack
+    carry the same factor 2, which `half` divides out of the objective."""
+
+    half = 0.5
 
     def __init__(self, problem: ConicProblem):
         self.m = problem.rhs.size
         self.kinds = [k for k, _ in problem.blocks]
+        self.dtype = float
+        self.sizes = [2 * n if k == PSD else n for k, n in problem.blocks]
+        self.costs = [realify(c) if k == PSD else 2.0 * c
+                      for k, c in zip(self.kinds, problem.cost)]
+        self.rhs = 2.0 * problem.rhs
         self.stacks = [realify(st) if k == PSD else 2.0 * st
                        for k, st in zip(self.kinds, problem.stacks)]
         self.flats = [a.reshape(self.m, -1) for a in self.stacks]
+
+    def enter(self, x0, s0):
+        """Iterates from a start point in the complex convention."""
+        xs = [realify(v) if k == PSD else np.asarray(v, dtype=float).copy()
+              for k, v in zip(self.kinds, x0)]
+        ss = [realify(v) if k == PSD else 2.0 * np.asarray(v, dtype=float)
+              for k, v in zip(self.kinds, s0)]
+        return xs, ss
+
+    def leave(self, xs, ss):
+        """The complex convention's x and s blocks from the iterates."""
+        x_out = [unrealify(x) if k == PSD else x.copy() for k, x in zip(self.kinds, xs)]
+        s_out = [unrealify(s) if k == PSD else 0.5 * s for k, s in zip(self.kinds, ss)]
+        return x_out, s_out
 
     def apply(self, vals):
         out = np.zeros(self.m)
@@ -310,86 +347,80 @@ class _StackedRows:
 
 
 class _UnitDiagonalRows:
-    """Rows E_jj on one PSD block of size d.  Realified, row j selects the
-    entries (j, j) and (d + j, d + j): A reads and A^T writes the diagonal,
-    and M_ij sums W_pq^2 over p in {i, d + i} and q in {j, d + j}."""
+    """Rows E_jj on one complex Hermitian PSD block of size d, kept complex:
+    A(X) = Re diag X, A^T y = diag y, and M_ij = <E_ii, W E_jj W> =
+    W_ij W_ji = |W_ij|^2, so M = |W| o |W|.  No factor 2 enters."""
 
-    def __init__(self, d: int):
-        self.d = d
+    half = 1.0
 
-    def _fold(self, v):
-        return v[:self.d] + v[self.d:]
+    def __init__(self, problem: ConicProblem):
+        self.dtype = np.complex128
+        self.sizes = [problem.blocks[0][1]]
+        self.costs = list(problem.cost)
+        self.rhs = problem.rhs
+
+    def enter(self, x0, s0):
+        return ([np.array(x0[0], dtype=np.complex128)],
+                [np.array(s0[0], dtype=np.complex128)])
+
+    def leave(self, xs, ss):
+        return xs, ss
 
     def apply(self, vals):
-        return self._fold(np.diag(vals[0]))
+        return np.diag(vals[0]).real
 
     def adjoint(self, vec):
-        return [np.diag(np.concatenate([vec, vec]))]
+        return [np.diag(vec)]
 
     def schur(self, ws):
-        """M = A(W A^T(.) W) from Q = W o W, the sum of its four d x d quadrants."""
-        q, d = ws[0] * ws[0], self.d
-        return q[:d, :d] + q[:d, d:] + q[d:, :d] + q[d:, d:]
+        w = ws[0]
+        return w.real * w.real + w.imag * w.imag
 
     def add_scaled(self, vec, ws, rds):
-        """vec += A(W R W), which needs only the diagonal of W R W."""
+        """vec += Re diag(W R W), which needs only the diagonal of W R W."""
         w = ws[0]
-        vec += self._fold(np.einsum("ij,ji->i", w @ rds[0], w))
+        vec += np.einsum("ij,ji->i", w @ rds[0], w).real
 
 
 def solve(problem: ConicProblem, options: SolveOptions | None = None) -> ConicSolution:
     opts = options or SolveOptions()
     kinds = [k for k, _ in problem.blocks]
     m = problem.rhs.size
-    rows = _UnitDiagonalRows(m) if problem.unit_diagonal else _StackedRows(problem)
-
-    # realified data; the uniform factor 2 on rhs keeps PSD and nonneg
-    # blocks consistent and is divided out at extraction
-    costs, sizes = [], []
-    for (kind, n), c in zip(problem.blocks, problem.cost):
-        if kind == PSD:
-            costs.append(realify(c))
-            sizes.append(2 * n)
-        else:
-            costs.append(2.0 * c)
-            sizes.append(n)
-    rhs = 2.0 * problem.rhs
+    rows = _UnitDiagonalRows(problem) if problem.unit_diagonal else _StackedRows(problem)
+    costs, sizes, rhs, half = rows.costs, rows.sizes, rows.rhs, rows.half
     nu = float(sum(sizes))
-    cnorm = np.sqrt(sum(float(np.sum(c * c)) for c in costs))
+    cnorm = np.sqrt(sum(_inner(c, c) for c in costs))
     bnorm = float(np.linalg.norm(rhs))
 
     if opts.start is None:
-        xs = [np.eye(n) if k == PSD else np.ones(n) for k, n in zip(kinds, sizes)]
-        ss = [np.eye(n) if k == PSD else np.ones(n) for k, n in zip(kinds, sizes)]
+        xs = [np.eye(n, dtype=rows.dtype) if k == PSD else np.ones(n) for k, n in zip(kinds, sizes)]
+        ss = [np.eye(n, dtype=rows.dtype) if k == PSD else np.ones(n) for k, n in zip(kinds, sizes)]
         y = np.zeros(m)
     else:
         x0, y0, s0 = opts.start
-        xs = [realify(v) if k == PSD else np.asarray(v, dtype=float).copy()
-              for k, v in zip(kinds, x0)]
-        ss = [realify(v) if k == PSD else 2.0 * np.asarray(v, dtype=float)
-              for k, v in zip(kinds, s0)]
+        xs, ss = rows.enter(x0, s0)
         y = np.asarray(y0, dtype=float).copy()
 
     history = []
     status = SolveStatus.MAX_ITER
     it = 0
     for it in range(opts.max_iter + 1):
-        pobj = sum(float(np.sum(c * x)) for c, x in zip(costs, xs))
+        pobj = sum(_inner(c, x) for c, x in zip(costs, xs))
         dobj = float(rhs @ y)
         rp = rhs - rows.apply(xs)
         aty = rows.adjoint(y)
         rds = [c - at - s for c, at, s in zip(costs, aty, ss)]
         compl = sum(
-            float(np.sum(x * s)) if k == PSD else float(x @ s)
+            _inner(x, s) if k == PSD else float(x @ s)
             for k, x, s in zip(kinds, xs, ss)
         )
         mu = compl / nu
 
-        p_ext, d_ext = 0.5 * pobj, 0.5 * dobj
+        p_ext, d_ext = half * pobj, half * dobj
         gap_rel = abs(p_ext - d_ext) / (1.0 + abs(p_ext))
         rp_rel = float(np.linalg.norm(rp)) / (1.0 + bnorm)
-        rd_rel = np.sqrt(sum(float(np.sum(r * r)) for r in rds)) / (1.0 + cnorm)
-        compl_rel = 0.5 * compl / (1.0 + abs(p_ext))
+        rd_rel = np.sqrt(sum(_inner(r, r) for r in rds)) / (1.0 + cnorm)
+        compl_rel = half * compl / (1.0 + abs(p_ext))
         history.append({"iteration": it, "primal": p_ext, "dual": d_ext, "gap": gap_rel})
 
         if rp_rel <= opts.tol and rd_rel <= opts.tol and gap_rel <= opts.tol and compl_rel <= opts.tol:
@@ -433,7 +464,7 @@ def solve(problem: ConicProblem, options: SolveOptions | None = None) -> ConicSo
                     if e is not None:
                         rhs_sym = rhs_sym - e
                     g = rhs_sym * (2.0 / np.add.outer(lam, lam))
-                    ks.append(r @ g @ r.T)
+                    ks.append(r @ g @ _h(r))
                 else:
                     num = sigma_mu - x * s
                     if e is not None:
@@ -449,8 +480,8 @@ def solve(problem: ConicProblem, options: SolveOptions | None = None) -> ConicSo
                 if k == PSD:
                     w = sc[2]
                     dx = kk - w @ ds @ w
-                    dx = 0.5 * (dx + dx.T)
-                    ds = 0.5 * (ds + ds.T)
+                    dx = 0.5 * (dx + _h(dx))
+                    ds = 0.5 * (ds + _h(ds))
                 else:
                     dx = kk - sc[2] ** 2 * ds
                 dss.append(ds)
@@ -475,15 +506,15 @@ def solve(problem: ConicProblem, options: SolveOptions | None = None) -> ConicSo
         compl_aff = 0.0
         for k, x, s, dx, ds in zip(kinds, xs, ss, dxa, dsa):
             xa, sa = x + ap_aff * dx, s + ad_aff * ds
-            compl_aff += float(np.sum(xa * sa)) if k == PSD else float(xa @ sa)
+            compl_aff += _inner(xa, sa) if k == PSD else float(xa @ sa)
         sigma = float(np.clip((max(compl_aff, 0.0) / nu / mu) ** 3, 0.0, 1.0)) if mu > 0 else 0.0
 
         corr = []
         for k, sc, dx, ds in zip(kinds, scal, dxa, dsa):
             if k == PSD:
                 r, rinv = sc[0], sc[1]
-                dxh = rinv @ dx @ rinv.T
-                dsh = r.T @ ds @ r
+                dxh = rinv @ dx @ _h(rinv)
+                dsh = _h(r) @ ds @ r
                 corr.append(0.5 * (dxh @ dsh + dsh @ dxh))
             else:
                 corr.append(dx * ds)
@@ -498,20 +529,13 @@ def solve(problem: ConicProblem, options: SolveOptions | None = None) -> ConicSo
             xs[bi] = xs[bi] + ap * dxs[bi]
             ss[bi] = ss[bi] + ad * dss[bi]
             if k == PSD:
-                xs[bi] = 0.5 * (xs[bi] + xs[bi].T)
-                ss[bi] = 0.5 * (ss[bi] + ss[bi].T)
+                xs[bi] = 0.5 * (xs[bi] + _h(xs[bi]))
+                ss[bi] = 0.5 * (ss[bi] + _h(ss[bi]))
         y = y + ad * dy
 
-    x_out, s_out = [], []
-    for k, x, s in zip(kinds, xs, ss):
-        if k == PSD:
-            x_out.append(unrealify(x))
-            s_out.append(unrealify(s))
-        else:
-            x_out.append(x.copy())
-            s_out.append(0.5 * s)
-    pobj = 0.5 * sum(float(np.sum(c * x)) for c, x in zip(costs, xs))
-    dobj = 0.5 * float(rhs @ y)
+    x_out, s_out = rows.leave(xs, ss)
+    pobj = half * sum(_inner(c, x) for c, x in zip(costs, xs))
+    dobj = half * float(rhs @ y)
     return ConicSolution(
         status=status,
         x=x_out,
