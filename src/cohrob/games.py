@@ -153,12 +153,13 @@ def validate_povm(elements, d: int | None = None) -> None:
     if not mats:
         raise ValueError("empty measurement")
     n = mats[0].shape[0]
-    if d is not None and n != d:
+    if (d is not None and n != d) or any(m.shape != (n, n) for m in mats):
         raise ValueError("measurement dimension mismatch")
-    for idx, m in enumerate(mats):
-        low = float(np.linalg.eigvalsh(m)[0])
-        if low < POVM_ELEMENT_FLOOR:
-            raise ValueError(f"measurement element {idx} has eigenvalue {low:.3e}")
+    low = np.linalg.eigvalsh(np.stack(mats))[:, 0]
+    failing = np.flatnonzero(low < POVM_ELEMENT_FLOOR)
+    if failing.size:
+        idx = failing[0]
+        raise ValueError(f"measurement element {idx} has eigenvalue {low[idx]:.3e}")
     dev = float(np.max(np.abs(sum(mats) - np.eye(n))))
     if dev > POVM_COMPLETENESS_TOL:
         raise ValueError(f"measurement elements sum to identity only within {dev:.3e}")
@@ -205,12 +206,13 @@ def check_measurement_certificate(weighted, povm, majorant) -> float:
         validate_povm(povm, q.shape[0])
     except ValueError as exc:
         raise sdp.SolverError(f"invalid measurement: {exc}") from None
-    for k, a in enumerate(weighted):
-        low = float(np.linalg.eigvalsh(q - a)[0])
-        if low < POVM_ELEMENT_FLOOR:
-            raise sdp.SolverError(
-                f"majorant does not dominate ensemble member {k}: eigenvalue {low:.3e}"
-            )
+    low = np.linalg.eigvalsh(q - np.stack(weighted))[:, 0]
+    failing = np.flatnonzero(low < POVM_ELEMENT_FLOOR)
+    if failing.size:
+        k = failing[0]
+        raise sdp.SolverError(
+            f"majorant does not dominate ensemble member {k}: eigenvalue {low[k]:.3e}"
+        )
     value = float(sum(np.vdot(a, mk).real for a, mk in zip(weighted, povm)))
     bound = float(np.trace(q).real)
     if abs(bound - value) > CROSS_CHECK_TOL:

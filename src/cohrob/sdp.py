@@ -12,6 +12,14 @@ arrays), dense linear algebra, one Cholesky-with-jitter routine for the NT
 blocks and the Schur complement, and no infeasibility certificates (every
 problem built by this package is constructed feasible).
 
+All PSD blocks of a problem have one size and are kept as one (k, n, n)
+stack, so each iterate makes one batched call per kernel (Cholesky, SVD,
+solve, eigvalsh, matmul) for every block; the nonnegative blocks stay a
+short per-block list.  numpy's batched kernels give each matrix the bits of
+a call on that matrix alone, and every reduction over blocks keeps the
+problem's block order, so a solve's arithmetic does not depend on the
+batching.
+
 The interior-point loop is dtype-generic: it writes conjugate transposes,
 takes the real part of trace inner products and reads the jitter scale from
 the real diagonal, so one path runs complex Hermitian or real symmetric
@@ -19,13 +27,15 @@ blocks.  The representation, the constraint map A, its adjoint and the Schur
 complement M = A(W A^T(.) W) come from one of two row forms, chosen from the
 data at build time.  The unit-diagonal form, one PSD block of size d whose d
 rows are E_jj (the robustness program's diag(Y) = 1), keeps the d x d block
-complex, reads and writes diagonals and assembles M = |W| o |W| in O(d^2)
-(the max-cut structure of Helmberg, Rendl, Vanderbei and Wolkowicz, SIAM J.
-Optim. 6, 1996).  Every other problem uses the stacked rows on the realified
-image: complex Hermitian blocks become real symmetric blocks of twice the
-size, and the factor-2 value inflation this introduces is divided out when
-the solution is extracted.  NT scaling, step lengths, the stopping tests and
-the update are one path for both.
+complex as a stack of one, reads and writes diagonals and assembles
+M = |W| o |W| in O(d^2) (the max-cut structure of Helmberg, Rendl,
+Vanderbei and Wolkowicz, SIAM J. Optim. 6, 1996).  Every other problem uses
+the stacked rows on the realified image: complex Hermitian blocks become
+real symmetric blocks of twice the size, and the factor-2 value inflation
+this introduces is divided out when the solution is extracted.  When every
+PSD block has the same constraint stack (the measurement program's), it is
+realified and applied once for all blocks.  NT scaling, step lengths, the
+stopping tests and the update are one path for both.
 """
 from __future__ import annotations
 
@@ -103,6 +113,8 @@ class ConicProblem:
     unit_diagonal: derived from the data, never passed: the only block is PSD
         of size m and row j is E_jj, so the solver takes the unit-diagonal
         row form.
+    shared_stack: derived from the data, never passed: every PSD block has
+        the same constraint stack, which the solver then holds once.
     """
 
     blocks: tuple
@@ -110,16 +122,20 @@ class ConicProblem:
     stacks: tuple
     rhs: np.ndarray
     unit_diagonal: bool = field(init=False, repr=False)
+    shared_stack: bool = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "unit_diagonal", _selects_diagonal(self.blocks, self.stacks))
+        psd = [st for (k, _), st in zip(self.blocks, self.stacks) if k == PSD]
+        object.__setattr__(self, "shared_stack", all(np.array_equal(st, psd[0]) for st in psd[1:]))
 
     @staticmethod
     def build(blocks, cost, rhs, stacks) -> "ConicProblem":
         """Assemble and check a problem.
 
-        Every build checks the shapes, that PSD cost and constraint data are
-        Hermitian within HERMITICITY_TOL, and that the constraints are
+        Every build checks the shapes, that all PSD blocks have one size (the
+        solver keeps them as one stack), that PSD cost and constraint data
+        are Hermitian within HERMITICITY_TOL, and that the constraints are
         linearly independent.  The data are stored as given, not
         symmetrized, so the solver sees exactly the caller's arrays.
         """
@@ -131,6 +147,8 @@ class ConicProblem:
                 raise ValueError(f"unknown block kind {k!r}")
             if n < 1:
                 raise ValueError("block sizes must be positive")
+        if len({n for k, n in blocks if k == PSD}) > 1:
+            raise ValueError("PSD blocks must all have the same size")
         rhs = np.asarray(rhs, dtype=float).reshape(-1)
         m = rhs.size
         if m < 1:
@@ -224,53 +242,84 @@ BLOCK_JITTER = (0.0, 1e-14, 1e-12, 1e-10, 1e-8)
 SCHUR_JITTER = (0.0, 1e-12, 1e-10, 1e-8, 1e-6)
 
 
-def _chol(m, ridge_scale, ladder):
-    """Cholesky factor of m + jitter * ridge_scale * I for the first jitter
-    of the ladder that factors, or None when none does."""
-    for jitter in ladder:
-        try:
-            return np.linalg.cholesky(m if jitter == 0.0 else m + jitter * ridge_scale * np.eye(m.shape[0]))
-        except np.linalg.LinAlgError:
-            continue
-    return None
+def _chol(a, floor, ladder):
+    """Cholesky factors of a stack of matrices shaped (k, n, n), or None.
+
+    The whole stack is factored unjittered first.  When a matrix does not
+    factor, each matrix takes the first jitter of the ladder at which
+    a + jitter * ridge_scale * I factors, ridge_scale being its largest
+    diagonal entry and at least floor, exactly as if factored alone; None
+    when some matrix factors at no jitter of the ladder.
+    """
+    try:
+        return np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        pass
+    out = np.empty_like(a)
+    for b, blk in enumerate(a):
+        ridge_scale = max(float(np.max(np.diag(blk).real)), floor)
+        for jitter in ladder:
+            try:
+                out[b] = np.linalg.cholesky(
+                    blk if jitter == 0.0 else blk + jitter * ridge_scale * np.eye(blk.shape[0]))
+                break
+            except np.linalg.LinAlgError:
+                continue
+        else:
+            return None
+    return out
 
 
 def _h(a):
-    """Conjugate transpose; a view, and plain .T, on real arrays."""
-    return a.conj().T
+    """Conjugate transpose of each matrix of a stack; a view on real arrays."""
+    return a.conj().swapaxes(-1, -2)
 
 
 def _inner(a, b) -> float:
-    """Re sum conj(a) b, the trace inner product of two PSD blocks (np.sum's
-    order, which real blocks have always used)."""
+    """Re sum conj(a) b, the inner product of two nonneg blocks."""
     return float(np.sum(a.conj() * b).real)
 
 
+def _inners(a, b) -> list:
+    """Trace inner products Re sum conj(a_k) b_k of two PSD stacks, one per
+    block, each summed in the order np.sum takes on the block alone."""
+    return (a.conj() * b).sum(axis=(1, 2)).real.tolist()
+
+
+def _diag_stack(v):
+    """Stack of diagonal matrices with diagonals v shaped (k, n)."""
+    out = np.zeros(v.shape + v.shape[-1:], dtype=v.dtype)
+    j = np.arange(v.shape[-1])
+    out[:, j, j] = v
+    return out
+
+
 def _nt_scaling(x, s):
-    """NT scaling of a PSD block: returns (R, Rinv, W, lam, Lx, Ls) with
-    Rinv x Rinv^H = R^H s R = diag(lam), W = R R^H, and Lx, Ls the
-    Cholesky factors of x and s.  The step-length tests of the same
-    iterate reuse Lx and Ls, so each block is factored once per iterate."""
-    lx = _chol(x, max(float(np.max(np.diag(x).real)), 1e-300), BLOCK_JITTER)
-    ls = _chol(s, max(float(np.max(np.diag(s).real)), 1e-300), BLOCK_JITTER)
+    """NT scaling of a stack of PSD blocks: returns (R, Rinv, W, lam, L),
+    stacked per block, with Rinv x Rinv^H = R^H s R = diag(lam), W = R R^H,
+    and L the Cholesky factors of x followed by those of s; None when a
+    block does not factor.  The step-length tests of the same iterate reuse
+    L, so each block is factored once per iterate."""
+    lx = _chol(x, 1e-300, BLOCK_JITTER)
+    ls = _chol(s, 1e-300, BLOCK_JITTER)
     if lx is None or ls is None:
         return None
     u, lam, vt = np.linalg.svd(_h(ls) @ lx)
-    if lam[-1] <= 0.0:
+    if np.any(lam[:, -1:] <= 0.0):
         return None
     inv_sqrt = 1.0 / np.sqrt(lam)
-    r = lx @ _h(vt) * inv_sqrt
-    rinv = (inv_sqrt[:, None] * _h(u)) @ _h(ls)
-    return r, rinv, r @ _h(r), lam, lx, ls
+    r = lx @ _h(vt) * inv_sqrt[:, None, :]
+    rinv = (inv_sqrt[:, :, None] * _h(u)) @ _h(ls)
+    return r, rinv, r @ _h(r), lam, np.concatenate([lx, ls])
 
 
-def _max_step_psd(lx, dx):
-    z = np.linalg.solve(lx, dx)
-    n = np.linalg.solve(lx, _h(z))
-    wmin = float(np.linalg.eigvalsh(0.5 * (n + _h(n)))[0])
-    if wmin >= -1e-14:
-        return np.inf
-    return 1.0 / (-wmin)
+def _max_step_psd(l, d) -> list:
+    """Per block, the largest step t with L L^H + t d PSD, for the Cholesky
+    factors l of the blocks' iterate; inf where no step is limited."""
+    z = np.linalg.solve(l, d)
+    n = np.linalg.solve(l, _h(z))
+    wmin = np.linalg.eigvalsh(0.5 * (n + _h(n)))[:, :1].ravel().tolist()
+    return [np.inf if w >= -1e-14 else 1.0 / (-w) for w in wmin]
 
 
 def _max_step_nonneg(x, dx):
@@ -280,146 +329,167 @@ def _max_step_nonneg(x, dx):
     return float(np.min(-x[neg] / dx[neg]))
 
 
+def _in_block_order(order, psd, nonneg) -> list:
+    """Per-block values of the PSD stack and the nonneg list, in block order,
+    so that every reduction over blocks keeps one summation order."""
+    parts = [*psd, *nonneg]
+    return [parts[i] for i in order]
+
+
 class _StackedRows:
     """The realified image of every block: PSD data and iterates are real
     symmetric of twice the size, and the cost, the rhs and the nonneg slack
-    carry the same factor 2, which `half` divides out of the objective."""
+    carry the same factor 2, which `half` divides out of the objective.
+
+    The PSD constraint stacks are held as one array shaped (k, m, n, n), with
+    k = 1 when every PSD block has the same stack (`shared_stack`): that
+    stack is realified once and broadcast, so A^T y is formed once."""
 
     half = 0.5
 
     def __init__(self, problem: ConicProblem):
-        self.m = problem.rhs.size
-        self.kinds = [k for k, _ in problem.blocks]
+        self.m = m = problem.rhs.size
         self.dtype = float
-        self.sizes = [2 * n if k == PSD else n for k, n in problem.blocks]
-        self.costs = [realify(c) if k == PSD else 2.0 * c
-                      for k, c in zip(self.kinds, problem.cost)]
+        psd = [i for i, (k, _) in enumerate(problem.blocks) if k == PSD]
+        nonneg = [i for i, (k, _) in enumerate(problem.blocks) if k != PSD]
+        self.psd, self.nonneg = psd, nonneg
+        self.order = tuple(np.argsort(psd + nonneg).tolist())
+        d = problem.blocks[psd[0]][1] if psd else 0
+        self.n = 2 * d
+        self.cost = realify(np.reshape([problem.cost[i] for i in psd], (len(psd), d, d)))
+        kept = psd[:1] if problem.shared_stack else psd
+        self.stack = realify(np.reshape([problem.stacks[i] for i in kept], (len(kept), m, d, d)))
+        self.flats = self.stack.reshape(len(kept), m, self.n * self.n)
+        self.nn_costs = [2.0 * problem.cost[i] for i in nonneg]
+        self.nn_stacks = [2.0 * problem.stacks[i] for i in nonneg]
         self.rhs = 2.0 * problem.rhs
-        self.stacks = [realify(st) if k == PSD else 2.0 * st
-                       for k, st in zip(self.kinds, problem.stacks)]
-        self.flats = [a.reshape(self.m, -1) for a in self.stacks]
 
     def enter(self, x0, s0):
-        """Iterates from a start point in the complex convention."""
-        xs = [realify(v) if k == PSD else np.asarray(v, dtype=float).copy()
-              for k, v in zip(self.kinds, x0)]
-        ss = [realify(v) if k == PSD else 2.0 * np.asarray(v, dtype=float)
-              for k, v in zip(self.kinds, s0)]
-        return xs, ss
+        """Iterates (x, x_nonneg, s, s_nonneg) from a start point in the
+        complex convention."""
+        d = self.n // 2
+        x = realify(np.reshape([x0[i] for i in self.psd], (len(self.psd), d, d)))
+        s = realify(np.reshape([s0[i] for i in self.psd], (len(self.psd), d, d)))
+        return (x, [np.asarray(x0[i], dtype=float).copy() for i in self.nonneg],
+                s, [2.0 * np.asarray(s0[i], dtype=float) for i in self.nonneg])
 
-    def leave(self, xs, ss):
-        """The complex convention's x and s blocks from the iterates."""
-        x_out = [unrealify(x) if k == PSD else x.copy() for k, x in zip(self.kinds, xs)]
-        s_out = [unrealify(s) if k == PSD else 0.5 * s for k, s in zip(self.kinds, ss)]
+    def leave(self, x, xn, s, sn):
+        """The complex convention's x and s blocks, in block order."""
+        x_out = _in_block_order(self.order, [unrealify(b) for b in x], [v.copy() for v in xn])
+        s_out = _in_block_order(self.order, [unrealify(b) for b in s], [0.5 * v for v in sn])
         return x_out, s_out
 
-    def apply(self, vals):
+    def apply(self, x, xn):
+        psd = (self.flats @ x.reshape(len(x), self.n * self.n, 1))[:, :, 0]
         out = np.zeros(self.m)
-        for f, v in zip(self.flats, vals):
-            out += f @ v.reshape(-1)
+        for part in _in_block_order(self.order, psd, [f @ v for f, v in zip(self.nn_stacks, xn)]):
+            out += part
         return out
 
     def adjoint(self, vec):
-        return [
-            np.tensordot(vec, a, axes=1) if k == PSD else vec @ a
-            for k, a in zip(self.kinds, self.stacks)
-        ]
+        """A^T vec: a stack broadcasting over the PSD blocks, and the nonneg list."""
+        psd = (vec @ self.flats).reshape(len(self.flats), self.n, self.n)
+        return psd, [vec @ a for a in self.nn_stacks]
 
-    def schur(self, ws):
-        """M = A(W A^T(.) W) for the per-block NT matrices ws."""
+    def schur(self, w, wn):
+        """M = A(W A^T(.) W) for the NT matrices w (stacked) and wn (nonneg)."""
         m = self.m
+        t = w[:, None] @ self.stack @ w[:, None]
+        psd = self.flats @ t.reshape(len(w), m, self.n * self.n).swapaxes(1, 2)
+        nonneg = [(a * (v * v)) @ a.T for a, v in zip(self.nn_stacks, wn)]
         schur = np.zeros((m, m))
-        for k, a, f, w in zip(self.kinds, self.stacks, self.flats, ws):
-            if k == PSD:
-                t = np.matmul(np.matmul(w[None], a), w[None])
-                schur += f @ t.reshape(m, -1).T
-            else:
-                schur += (a * (w * w)) @ a.T
+        for part in _in_block_order(self.order, psd, nonneg):
+            schur += part
         return schur
 
-    def add_scaled(self, vec, ws, rds):
-        """vec += A(W R W), block by block, in place."""
-        for k, f, w, rd in zip(self.kinds, self.flats, ws, rds):
-            if k == PSD:
-                vec += f @ (w @ rd @ w).reshape(-1)
-            else:
-                vec += f @ (w * w * rd)
+    def add_scaled(self, vec, w, rd, wn, rdn):
+        """vec += A(W R W), block by block in block order, in place."""
+        t = w @ rd @ w
+        psd = (self.flats @ t.reshape(len(t), self.n * self.n, 1))[:, :, 0]
+        nonneg = [f @ (v * v * r) for f, v, r in zip(self.nn_stacks, wn, rdn)]
+        for part in _in_block_order(self.order, psd, nonneg):
+            vec += part
 
 
 class _UnitDiagonalRows:
-    """Rows E_jj on one complex Hermitian PSD block of size d, kept complex:
-    A(X) = Re diag X, A^T y = diag y, and M_ij = <E_ii, W E_jj W> =
-    W_ij W_ji = |W_ij|^2, so M = |W| o |W|.  No factor 2 enters."""
+    """Rows E_jj on one complex Hermitian PSD block of size d, kept complex as
+    a stack of one: A(X) = Re diag X, A^T y = diag y, and M_ij =
+    <E_ii, W E_jj W> = W_ij W_ji = |W_ij|^2, so M = |W| o |W|.  No factor 2
+    enters."""
 
     half = 1.0
+    order = (0,)
 
     def __init__(self, problem: ConicProblem):
         self.dtype = np.complex128
-        self.sizes = [problem.blocks[0][1]]
-        self.costs = list(problem.cost)
+        self.n = problem.blocks[0][1]
+        self.cost = problem.cost[0][None]
+        self.nn_costs = []
         self.rhs = problem.rhs
 
     def enter(self, x0, s0):
-        return ([np.array(x0[0], dtype=np.complex128)],
-                [np.array(s0[0], dtype=np.complex128)])
+        return (np.array(x0[0], dtype=np.complex128)[None], [],
+                np.array(s0[0], dtype=np.complex128)[None], [])
 
-    def leave(self, xs, ss):
-        return xs, ss
+    def leave(self, x, xn, s, sn):
+        return [x[0]], [s[0]]
 
-    def apply(self, vals):
-        return np.diag(vals[0]).real
+    def apply(self, x, xn):
+        return np.diag(x[0]).real
 
     def adjoint(self, vec):
-        return [np.diag(vec)]
+        return np.diag(vec)[None], []
 
-    def schur(self, ws):
-        w = ws[0]
+    def schur(self, w, wn):
+        w = w[0]
         return w.real * w.real + w.imag * w.imag
 
-    def add_scaled(self, vec, ws, rds):
+    def add_scaled(self, vec, w, rd, wn, rdn):
         """vec += Re diag(W R W), which needs only the diagonal of W R W."""
-        w = ws[0]
-        vec += np.einsum("ij,ji->i", w @ rds[0], w).real
+        vec += np.einsum("ij,ji->i", w[0] @ rd[0], w[0]).real
 
 
 def solve(problem: ConicProblem, options: SolveOptions | None = None) -> ConicSolution:
     opts = options or SolveOptions()
-    kinds = [k for k, _ in problem.blocks]
     m = problem.rhs.size
     rows = _UnitDiagonalRows(problem) if problem.unit_diagonal else _StackedRows(problem)
-    costs, sizes, rhs, half = rows.costs, rows.sizes, rows.rhs, rows.half
-    nu = float(sum(sizes))
-    cnorm = np.sqrt(sum(_inner(c, c) for c in costs))
+    c, cn, rhs, half, n = rows.cost, rows.nn_costs, rows.rhs, rows.half, rows.n
+
+    def blocks(psd, nonneg):
+        return _in_block_order(rows.order, psd, nonneg)
+
+    nu = float(len(c) * n + sum(v.size for v in cn))
+    cnorm = np.sqrt(sum(blocks(_inners(c, c), [_inner(v, v) for v in cn])))
     bnorm = float(np.linalg.norm(rhs))
 
     if opts.start is None:
-        xs = [np.eye(n, dtype=rows.dtype) if k == PSD else np.ones(n) for k, n in zip(kinds, sizes)]
-        ss = [np.eye(n, dtype=rows.dtype) if k == PSD else np.ones(n) for k, n in zip(kinds, sizes)]
+        x = np.repeat(np.eye(n, dtype=rows.dtype)[None], len(c), axis=0)
+        s = x.copy()
+        xn = [np.ones(v.size) for v in cn]
+        sn = [np.ones(v.size) for v in cn]
         y = np.zeros(m)
     else:
         x0, y0, s0 = opts.start
-        xs, ss = rows.enter(x0, s0)
+        x, xn, s, sn = rows.enter(x0, s0)
         y = np.asarray(y0, dtype=float).copy()
 
     history = []
     status = SolveStatus.MAX_ITER
     it = 0
     for it in range(opts.max_iter + 1):
-        pobj = sum(_inner(c, x) for c, x in zip(costs, xs))
+        pobj = sum(blocks(_inners(c, x), [_inner(v, w) for v, w in zip(cn, xn)]))
         dobj = float(rhs @ y)
-        rp = rhs - rows.apply(xs)
-        aty = rows.adjoint(y)
-        rds = [c - at - s for c, at, s in zip(costs, aty, ss)]
-        compl = sum(
-            _inner(x, s) if k == PSD else float(x @ s)
-            for k, x, s in zip(kinds, xs, ss)
-        )
+        rp = rhs - rows.apply(x, xn)
+        aty, atyn = rows.adjoint(y)
+        rd = c - aty - s
+        rdn = [v - at - w for v, at, w in zip(cn, atyn, sn)]
+        compl = sum(blocks(_inners(x, s), [float(v @ w) for v, w in zip(xn, sn)]))
         mu = compl / nu
 
         p_ext, d_ext = half * pobj, half * dobj
         gap_rel = abs(p_ext - d_ext) / (1.0 + abs(p_ext))
         rp_rel = float(np.linalg.norm(rp)) / (1.0 + bnorm)
-        rd_rel = np.sqrt(sum(_inner(r, r) for r in rds)) / (1.0 + cnorm)
+        rd_rel = np.sqrt(sum(blocks(_inners(rd, rd), [_inner(v, v) for v in rdn]))) / (1.0 + cnorm)
         compl_rel = half * compl / (1.0 + abs(p_ext))
         history.append({"iteration": it, "primal": p_ext, "dual": d_ext, "gap": gap_rel})
 
@@ -430,111 +500,82 @@ def solve(problem: ConicProblem, options: SolveOptions | None = None) -> ConicSo
             status = SolveStatus.MAX_ITER
             break
 
-        # NT scalings
-        scal = []
-        ok = True
-        for k, x, s in zip(kinds, xs, ss):
-            if k == PSD:
-                nt = _nt_scaling(x, s)
-                if nt is None:
-                    ok = False
-                    break
-                scal.append(nt)
-            else:
-                scal.append((None, None, np.sqrt(x / s), np.sqrt(x * s), None, None))
-        if not ok:
+        nt = _nt_scaling(x, s)
+        if nt is None:
             status = SolveStatus.NUMERICAL_FAILURE
             break
+        r, rinv, w, lam, lxs = nt
+        wn = [np.sqrt(v / u) for v, u in zip(xn, sn)]
 
-        ws = [sc[2] for sc in scal]
-        schur = rows.schur(ws)
-        lm = _chol(schur, max(1.0, float(np.max(np.diag(schur)))), SCHUR_JITTER)
+        lm = _chol(rows.schur(w, wn)[None], 1.0, SCHUR_JITTER)
         if lm is None:
             status = SolveStatus.NUMERICAL_FAILURE
             break
+        lm = lm[0]
 
-        def newton(sigma_mu, corr):
-            ks = []
-            for k, x, s, sc, e in zip(kinds, xs, ss, scal, corr):
-                if k == PSD:
-                    r, lam = sc[0], sc[3]
-                    rhs_sym = -np.diag(lam * lam)
-                    if sigma_mu:
-                        rhs_sym = rhs_sym + sigma_mu * np.eye(lam.size)
-                    if e is not None:
-                        rhs_sym = rhs_sym - e
-                    g = rhs_sym * (2.0 / np.add.outer(lam, lam))
-                    ks.append(r @ g @ _h(r))
-                else:
-                    num = sigma_mu - x * s
-                    if e is not None:
-                        num = num - e
-                    ks.append(num / s)
-            vec = rp - rows.apply(ks)
-            rows.add_scaled(vec, ws, rds)
+        def newton(sigma_mu, corr, corrn):
+            rhs_sym = -_diag_stack(lam * lam)
+            if sigma_mu:
+                rhs_sym = rhs_sym + sigma_mu * np.eye(n)
+            if corr is not None:
+                rhs_sym = rhs_sym - corr
+            k = r @ (rhs_sym * (2.0 / (lam[:, :, None] + lam[:, None, :]))) @ _h(r)
+            kn = []
+            for v, u, e in zip(xn, sn, corrn):
+                num = sigma_mu - v * u
+                if e is not None:
+                    num = num - e
+                kn.append(num / u)
+            vec = rp - rows.apply(k, kn)
+            rows.add_scaled(vec, w, rd, wn, rdn)
             dy = np.linalg.solve(lm.T, np.linalg.solve(lm, vec))
-            atdy = rows.adjoint(dy)
-            dss, dxs = [], []
-            for k, sc, rd, at, kk in zip(kinds, scal, rds, atdy, ks):
-                ds = rd - at
-                if k == PSD:
-                    w = sc[2]
-                    dx = kk - w @ ds @ w
-                    dx = 0.5 * (dx + _h(dx))
-                    ds = 0.5 * (ds + _h(ds))
-                else:
-                    dx = kk - sc[2] ** 2 * ds
-                dss.append(ds)
-                dxs.append(dx)
-            return dxs, dy, dss
+            atdy, atdyn = rows.adjoint(dy)
+            ds = rd - atdy
+            dx = k - w @ ds @ w
+            dx = 0.5 * (dx + _h(dx))
+            ds = 0.5 * (ds + _h(ds))
+            dsn = [v - at for v, at in zip(rdn, atdyn)]
+            dxn = [kk - v ** 2 * u for kk, v, u in zip(kn, wn, dsn)]
+            return dx, dxn, dy, ds, dsn
 
-        def max_steps(dxs, dss):
-            ap = ad = np.inf
-            for k, x, s, sc, dx, ds in zip(kinds, xs, ss, scal, dxs, dss):
-                if k == PSD:
-                    ap = min(ap, _max_step_psd(sc[4], dx))
-                    ad = min(ad, _max_step_psd(sc[5], ds))
-                else:
-                    ap = min(ap, _max_step_nonneg(x, dx))
-                    ad = min(ad, _max_step_nonneg(s, ds))
+        def max_steps(dx, dxn, ds, dsn):
+            steps = _max_step_psd(lxs, np.concatenate([dx, ds]))  # x's, then s's
+            ap = min([np.inf, *blocks(steps[:len(dx)],
+                                      [_max_step_nonneg(v, u) for v, u in zip(xn, dxn)])])
+            ad = min([np.inf, *blocks(steps[len(dx):],
+                                      [_max_step_nonneg(v, u) for v, u in zip(sn, dsn)])])
             return ap, ad
 
-        none_corr = [None] * len(kinds)
-        dxa, dya, dsa = newton(0.0, none_corr)
-        ap_aff, ad_aff = max_steps(dxa, dsa)
+        dxa, dxna, _, dsa, dsna = newton(0.0, None, [None] * len(xn))
+        ap_aff, ad_aff = max_steps(dxa, dxna, dsa, dsna)
         ap_aff, ad_aff = min(1.0, ap_aff), min(1.0, ad_aff)
         compl_aff = 0.0
-        for k, x, s, dx, ds in zip(kinds, xs, ss, dxa, dsa):
-            xa, sa = x + ap_aff * dx, s + ad_aff * ds
-            compl_aff += _inner(xa, sa) if k == PSD else float(xa @ sa)
+        for part in blocks(_inners(x + ap_aff * dxa, s + ad_aff * dsa),
+                           [float((v + ap_aff * dv) @ (u + ad_aff * du))
+                            for v, dv, u, du in zip(xn, dxna, sn, dsna)]):
+            compl_aff += part
         sigma = float(np.clip((max(compl_aff, 0.0) / nu / mu) ** 3, 0.0, 1.0)) if mu > 0 else 0.0
 
-        corr = []
-        for k, sc, dx, ds in zip(kinds, scal, dxa, dsa):
-            if k == PSD:
-                r, rinv = sc[0], sc[1]
-                dxh = rinv @ dx @ _h(rinv)
-                dsh = _h(r) @ ds @ r
-                corr.append(0.5 * (dxh @ dsh + dsh @ dxh))
-            else:
-                corr.append(dx * ds)
-        dxs, dy, dss = newton(sigma * mu, corr)
-        ap, ad = max_steps(dxs, dss)
+        dxh = rinv @ dxa @ _h(rinv)
+        dsh = _h(r) @ dsa @ r
+        corr = 0.5 * (dxh @ dsh + dsh @ dxh)
+        dx, dxn, dy, ds, dsn = newton(sigma * mu, corr, [v * u for v, u in zip(dxna, dsna)])
+        ap, ad = max_steps(dx, dxn, ds, dsn)
         ap = min(1.0, FRACTION_TO_BOUNDARY * ap)
         ad = min(1.0, FRACTION_TO_BOUNDARY * ad)
         if max(ap, ad) < 1e-14:
             status = SolveStatus.NUMERICAL_FAILURE
             break
-        for bi, k in enumerate(kinds):
-            xs[bi] = xs[bi] + ap * dxs[bi]
-            ss[bi] = ss[bi] + ad * dss[bi]
-            if k == PSD:
-                xs[bi] = 0.5 * (xs[bi] + _h(xs[bi]))
-                ss[bi] = 0.5 * (ss[bi] + _h(ss[bi]))
+        x = x + ap * dx
+        s = s + ad * ds
+        x = 0.5 * (x + _h(x))
+        s = 0.5 * (s + _h(s))
+        xn = [v + ap * dv for v, dv in zip(xn, dxn)]
+        sn = [v + ad * dv for v, dv in zip(sn, dsn)]
         y = y + ad * dy
 
-    x_out, s_out = rows.leave(xs, ss)
-    pobj = half * sum(_inner(c, x) for c, x in zip(costs, xs))
+    x_out, s_out = rows.leave(x, xn, s, sn)
+    pobj = half * sum(blocks(_inners(c, x), [_inner(v, w) for v, w in zip(cn, xn)]))
     dobj = half * float(rhs @ y)
     return ConicSolution(
         status=status,

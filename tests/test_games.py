@@ -101,7 +101,7 @@ def test_validate_povm_accepts_projective_and_rejects_broken():
     validate_povm([basis_projector(2, 0), basis_projector(2, 1)])
     with pytest.raises(ValueError):
         validate_povm([np.eye(2) / 2])  # incomplete
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="element 1 has"):
         validate_povm([np.diag([1.5, 1.0]), np.diag([-0.5, 0.0])])  # negative element
     with pytest.raises(ValueError):
         validate_povm([])
@@ -216,8 +216,12 @@ def test_measurement_certificate_rejects_non_dominating_majorant():
     # traceless, so Tr Q stays; its -1.5 eigenvalue outweighs the spectrum of
     # every Q - A_k, which Q bounds and Tr Q <= 1, so Q >= A_k fails
     shift = 1.5 * np.diag([1.0, -1.0])
-    with pytest.raises(SolverError, match="does not dominate"):
+    with pytest.raises(SolverError, match="does not dominate ensemble member 0:"):
         check_measurement_certificate(weighted, povm, majorant + shift)
+    # the message names the first member Q fails to dominate, here the second
+    raised = [weighted[0], weighted[1] + np.eye(2)]
+    with pytest.raises(SolverError, match="does not dominate ensemble member 1:"):
+        check_measurement_certificate(raised, povm, majorant)
 
 
 def test_measurement_certificate_rejects_incomplete_povm():

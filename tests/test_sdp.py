@@ -175,6 +175,16 @@ def test_build_rejects_shape_mismatch_and_empty():
                            stacks=[np.ones((1, 2))])
 
 
+def test_build_rejects_psd_blocks_of_different_sizes():
+    with pytest.raises(ValueError, match="same size"):
+        ConicProblem.build(
+            blocks=[(PSD, 2), (PSD, 3)],
+            cost=[np.eye(2), np.eye(3)],
+            rhs=[1.0],
+            stacks=[np.eye(2)[None], np.eye(3)[None]],
+        )
+
+
 # -- reference programs ----------------------------------------------------------------
 
 
@@ -459,12 +469,13 @@ def test_unit_diagonal_rows_match_stacked_assembly(d):
         return np.max(np.abs(a - b)) <= 1e-12 * max(np.max(np.abs(b)), 1.0)
 
     # the stacked rows act on the realified image, which doubles traces
-    assert close(ref.schur([realify(w)]), 2.0 * fast.schur([w]))
-    assert close(ref.apply([realify(x)]), 2.0 * fast.apply([x]))
-    assert close(ref.adjoint(y)[0], realify(fast.adjoint(y)[0]))
+    # (both forms take the PSD blocks as a stack, here a stack of one)
+    assert close(ref.schur(realify(w)[None], []), 2.0 * fast.schur(w[None], []))
+    assert close(ref.apply(realify(x)[None], []), 2.0 * fast.apply(x[None], []))
+    assert close(ref.adjoint(y)[0][0], realify(fast.adjoint(y)[0][0]))
     vec_fast, vec_ref = np.zeros(d), np.zeros(d)
-    fast.add_scaled(vec_fast, [w], [x])
-    ref.add_scaled(vec_ref, [realify(w)], [realify(x)])
+    fast.add_scaled(vec_fast, w[None], x[None], [], [])
+    ref.add_scaled(vec_ref, realify(w)[None], realify(x)[None], [], [])
     assert close(vec_ref, 2.0 * vec_fast)
 
 
@@ -499,6 +510,88 @@ def test_roc_exact_at_benchmark_sizes(rank, d):
     assert not permuted.unit_diagonal
     ref = solve_or_raise(permuted, SolveOptions(start=permuted_start))
     assert -ref.primal_value - 1.0 <= cert.value <= -ref.dual_value - 1.0 + 1e-10
+
+
+# -- batched PSD stack ---------------------------------------------------------------------
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_batched_kernels_equal_per_matrix_calls(dtype):
+    # the premise of solving all PSD blocks as one stack: on this numpy and
+    # BLAS, every kernel the interior-point loop batches gives each matrix of
+    # a stack the bits of a call on that matrix alone
+    rng = np.random.default_rng(7)
+
+    def draw(*shape):
+        a = rng.normal(size=shape)
+        return a + 1j * rng.normal(size=shape) if dtype is np.complex128 else a
+
+    for n in range(2, 13):
+        for m in range(1, 8):
+            g, a, b = draw(m, n, n), draw(m, n, n), draw(m, n, n)
+            pd = g @ sdp._h(g) + n * np.eye(n)
+            chol = np.linalg.cholesky(pd)
+            # each kernel takes a stack or one matrix alike
+            kernels = {
+                "cholesky": (np.linalg.cholesky, (pd,)),
+                "svd.U": (lambda x: np.linalg.svd(x).U, (a,)),
+                "svd.S": (lambda x: np.linalg.svd(x).S, (a,)),
+                "svd.Vh": (lambda x: np.linalg.svd(x).Vh, (a,)),
+                "eigvalsh": (lambda x: np.linalg.eigvalsh(x + sdp._h(x)), (a,)),
+                "solve": (np.linalg.solve, (chol, a)),
+                "matmul": (lambda x, y: x @ y @ sdp._h(x), (a, b)),
+                "gram": (lambda x: x @ sdp._h(x), (a,)),
+            }
+            for name, (kernel, args) in kernels.items():
+                stacked = kernel(*args)
+                for k in range(m):
+                    alone = kernel(*(arg[k] for arg in args))
+                    assert _same_bits(stacked[k], alone), (name, n, m, k)
+
+
+def test_jitter_ladder_runs_per_block():
+    # a stack that does not factor as a whole gives each matrix the first
+    # rung of the ladder that factors it alone
+    pd = np.array([[2.0, 0.5], [0.5, 1.0]])
+    singular = np.ones((2, 2))  # needs the first nonzero rung
+    got = sdp._chol(np.stack([pd, singular]), 1e-300, sdp.BLOCK_JITTER)
+    assert _same_bits(got[0], np.linalg.cholesky(pd))
+    rung = sdp.BLOCK_JITTER[1]
+    assert _same_bits(got[1], np.linalg.cholesky(singular + rung * 1.0 * np.eye(2)))
+    assert sdp._chol(np.stack([pd, -np.eye(2)]), 1e-300, sdp.BLOCK_JITTER) is None
+
+
+def test_shared_constraint_stack_changes_no_bits():
+    # the measurement program poses one stack for every block; the solver
+    # holds it once and broadcasts A^T y, which must give the bits of holding
+    # one copy per block
+    rho = random_state(3, seed=12)
+    game = random_phase_game(3, 4, seed=5)
+    weighted = [p * st for p, st in zip(game.priors, game.states(rho))]
+    m, d = len(weighted), 3
+    basis, eye = hermitian_basis(d), np.eye(d, dtype=np.complex128)
+    start = ([eye / m] * m, entry_coords(-1.5 * eye),
+             [as_hermitian(1.5 * eye - a) for a in weighted])
+
+    def solved(stacks, shared=None):
+        problem = ConicProblem.build(blocks=[(PSD, d)] * m, cost=[-a for a in weighted],
+                                     rhs=entry_coords(eye), stacks=stacks)
+        if shared is not None:  # hold the stack once per block
+            object.__setattr__(problem, "shared_stack", shared)
+        assert problem.shared_stack == (shared is None)
+        return solve_or_raise(problem, SolveOptions(start=start))
+
+    one = solved((basis,) * m)
+    for other in (solved([basis.copy() for _ in range(m)]), solved((basis,) * m, shared=False)):
+        assert other.iterations == one.iterations
+        assert _same_bits(other.y, one.y)
+        for xa, xb, sa, sb in zip(one.x, other.x, one.s, other.s):
+            assert _same_bits(xa, xb) and _same_bits(sa, sb)
 
 
 def test_psd_blocks_factored_once_per_iterate(monkeypatch):
