@@ -186,7 +186,7 @@ def _optimal_measurement(weighted, tol: float):
         y0,
         [as_hermitian(1.5 * eye - a) for a in weighted],
     )
-    sol = sdp.solve_or_raise(problem, sdp.SolveOptions(tol=tol, start=start))
+    sol = sdp.solve_or_raise(problem, tol=tol, start=start)
     povm = [as_hermitian(x) for x in sol.x]
     correction = (eye - sum(povm)) / m
     povm = [as_hermitian(p + correction) for p in povm]

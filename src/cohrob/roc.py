@@ -80,9 +80,9 @@ def solve_robustness(problem, start, tol: float, excess) -> tuple:
     """(solution, value) of a robustness program whose Tr D - 1 is excess(sol).
     A value below NEAR_ZERO continues the same solve from its final iterate to
     TOL_FLOOR, kept if OPTIMAL; a value at or below VALUE_FLOOR is exactly 0."""
-    sol = sdp.solve_or_raise(problem, sdp.SolveOptions(tol=tol, start=start))
+    sol = sdp.solve_or_raise(problem, tol=tol, start=start)
     if excess(sol) < NEAR_ZERO and tol > TOL_FLOOR:
-        refined = sdp.solve(problem, sdp.SolveOptions(TOL_FLOOR, start=(sol.x, sol.y, sol.s)))
+        refined = sdp.solve(problem, tol=TOL_FLOOR, start=(sol.x, sol.y, sol.s))
         if refined.status is sdp.SolveStatus.OPTIMAL:
             sol = refined
     value = excess(sol)

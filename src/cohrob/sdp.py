@@ -12,13 +12,14 @@ arrays), dense linear algebra, one Cholesky-with-jitter routine for the NT
 blocks and the Schur complement, and no infeasibility certificates (every
 problem built by this package is constructed feasible).
 
-All PSD blocks of a problem have one size and are kept as one (k, n, n)
-stack, so each iterate makes one batched call per kernel (Cholesky, SVD,
-solve, eigvalsh, matmul) for every block; the nonnegative blocks stay a
-short per-block list.  numpy's batched kernels give each matrix the bits of
-a call on that matrix alone, and every reduction over blocks keeps the
-problem's block order, so a solve's arithmetic does not depend on the
-batching.
+A problem lists its PSD blocks first, then its nonnegative blocks.  The PSD
+blocks have one size and are kept as one (k, n, n) stack, so each iterate
+makes one batched call per kernel (Cholesky, SVD, solve, eigvalsh, matmul)
+for every block; the nonnegative blocks stay a short per-block list.
+numpy's batched kernels give each matrix the bits of a call on that matrix
+alone, and every reduction over blocks is one left-to-right sum, the PSD
+values then the nonnegative ones, which is the problem's block order, so a
+solve's arithmetic does not depend on the batching.
 
 The interior-point loop is dtype-generic: it writes conjugate transposes,
 takes the real part of trace inner products and reads the jitter scale from
@@ -42,6 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
+from itertools import count
 
 import numpy as np
 
@@ -105,7 +107,7 @@ class ConicProblem:
     """Standard-form conic problem over PSD and nonnegative blocks.
 
     blocks: sequence of (kind, size) with kind "psd" (complex Hermitian,
-        size d) or "nonneg" (vector, size n).
+        size d) or "nonneg" (vector, size n), every PSD block first.
     cost: per block, a Hermitian (d, d) array or a real (n,) array.
     stacks: per block, the m constraint coefficients stacked along axis 0,
         shaped (m, d, d) complex or (m, n) real.
@@ -133,11 +135,11 @@ class ConicProblem:
     def build(blocks, cost, rhs, stacks) -> "ConicProblem":
         """Assemble and check a problem.
 
-        Every build checks the shapes, that all PSD blocks have one size (the
-        solver keeps them as one stack), that PSD cost and constraint data
-        are Hermitian within HERMITICITY_TOL, and that the constraints are
-        linearly independent.  The data are stored as given, not
-        symmetrized, so the solver sees exactly the caller's arrays.
+        Every build checks the shapes, that the PSD blocks come first and all
+        have one size (the solver keeps them as one stack), that PSD cost and
+        constraint data are Hermitian within HERMITICITY_TOL, and that the
+        constraints are linearly independent.  The data are stored as given,
+        not symmetrized, so the solver sees exactly the caller's arrays.
         """
         blocks = tuple((str(k), int(n)) for k, n in blocks)
         if not blocks:
@@ -147,6 +149,8 @@ class ConicProblem:
                 raise ValueError(f"unknown block kind {k!r}")
             if n < 1:
                 raise ValueError("block sizes must be positive")
+        if any(k == NONNEG and nxt == PSD for (k, _), (nxt, _) in zip(blocks, blocks[1:])):
+            raise ValueError("PSD blocks must come before the nonneg blocks")
         if len({n for k, n in blocks if k == PSD}) > 1:
             raise ValueError("PSD blocks must all have the same size")
         rhs = np.asarray(rhs, dtype=float).reshape(-1)
@@ -208,16 +212,6 @@ def _selects_diagonal(blocks, stacks) -> bool:
         return False
     j = np.arange(d)
     return bool(np.all(st[j, j, j] == 1.0) and np.count_nonzero(st) == d)
-
-
-@dataclass
-class SolveOptions:
-    tol: float = 1e-8
-    max_iter: int = 200
-    # optional strictly interior starting point (x blocks, y, s blocks) in the
-    # complex convention; identity / zero when None.  A feasible start keeps
-    # every iterate feasible, so weak duality holds along the whole path.
-    start: tuple | None = None
 
 
 @dataclass
@@ -329,13 +323,6 @@ def _max_step_nonneg(x, dx):
     return float(np.min(-x[neg] / dx[neg]))
 
 
-def _in_block_order(order, psd, nonneg) -> list:
-    """Per-block values of the PSD stack and the nonneg list, in block order,
-    so that every reduction over blocks keeps one summation order."""
-    parts = [*psd, *nonneg]
-    return [parts[i] for i in order]
-
-
 class _StackedRows:
     """The realified image of every block: PSD data and iterates are real
     symmetric of twice the size, and the cost, the rhs and the nonneg slack
@@ -350,41 +337,34 @@ class _StackedRows:
     def __init__(self, problem: ConicProblem):
         self.m = m = problem.rhs.size
         self.dtype = float
-        psd = [i for i, (k, _) in enumerate(problem.blocks) if k == PSD]
-        nonneg = [i for i, (k, _) in enumerate(problem.blocks) if k != PSD]
-        self.psd, self.nonneg = psd, nonneg
-        self.order = tuple(np.argsort(psd + nonneg).tolist())
-        d = problem.blocks[psd[0]][1] if psd else 0
+        self.k = k = sum(kind == PSD for kind, _ in problem.blocks)
+        d = problem.blocks[0][1] if k else 0
         self.n = 2 * d
-        self.cost = realify(np.reshape([problem.cost[i] for i in psd], (len(psd), d, d)))
-        kept = psd[:1] if problem.shared_stack else psd
-        self.stack = realify(np.reshape([problem.stacks[i] for i in kept], (len(kept), m, d, d)))
-        self.flats = self.stack.reshape(len(kept), m, self.n * self.n)
-        self.nn_costs = [2.0 * problem.cost[i] for i in nonneg]
-        self.nn_stacks = [2.0 * problem.stacks[i] for i in nonneg]
+        self.cost = realify(np.reshape(problem.cost[:k], (k, d, d)))
+        kept = min(k, 1) if problem.shared_stack else k
+        self.stack = realify(np.reshape(problem.stacks[:kept], (kept, m, d, d)))
+        self.flats = self.stack.reshape(kept, m, self.n * self.n)
+        self.nn_costs = [2.0 * c for c in problem.cost[k:]]
+        self.nn_stacks = [2.0 * st for st in problem.stacks[k:]]
         self.rhs = 2.0 * problem.rhs
 
     def enter(self, x0, s0):
         """Iterates (x, x_nonneg, s, s_nonneg) from a start point in the
         complex convention."""
-        d = self.n // 2
-        x = realify(np.reshape([x0[i] for i in self.psd], (len(self.psd), d, d)))
-        s = realify(np.reshape([s0[i] for i in self.psd], (len(self.psd), d, d)))
-        return (x, [np.asarray(x0[i], dtype=float).copy() for i in self.nonneg],
-                s, [2.0 * np.asarray(s0[i], dtype=float) for i in self.nonneg])
+        k, d = self.k, self.n // 2
+        return (realify(np.reshape(x0[:k], (k, d, d))),
+                [np.asarray(v, dtype=float).copy() for v in x0[k:]],
+                realify(np.reshape(s0[:k], (k, d, d))),
+                [2.0 * np.asarray(v, dtype=float) for v in s0[k:]])
 
     def leave(self, x, xn, s, sn):
         """The complex convention's x and s blocks, in block order."""
-        x_out = _in_block_order(self.order, [unrealify(b) for b in x], [v.copy() for v in xn])
-        s_out = _in_block_order(self.order, [unrealify(b) for b in s], [0.5 * v for v in sn])
-        return x_out, s_out
+        return ([unrealify(b) for b in x] + [v.copy() for v in xn],
+                [unrealify(b) for b in s] + [0.5 * v for v in sn])
 
     def apply(self, x, xn):
         psd = (self.flats @ x.reshape(len(x), self.n * self.n, 1))[:, :, 0]
-        out = np.zeros(self.m)
-        for part in _in_block_order(self.order, psd, [f @ v for f, v in zip(self.nn_stacks, xn)]):
-            out += part
-        return out
+        return sum([*psd, *(f @ v for f, v in zip(self.nn_stacks, xn))], np.zeros(self.m))
 
     def adjoint(self, vec):
         """A^T vec: a stack broadcasting over the PSD blocks, and the nonneg list."""
@@ -396,18 +376,14 @@ class _StackedRows:
         m = self.m
         t = w[:, None] @ self.stack @ w[:, None]
         psd = self.flats @ t.reshape(len(w), m, self.n * self.n).swapaxes(1, 2)
-        nonneg = [(a * (v * v)) @ a.T for a, v in zip(self.nn_stacks, wn)]
-        schur = np.zeros((m, m))
-        for part in _in_block_order(self.order, psd, nonneg):
-            schur += part
-        return schur
+        nonneg = ((a * (v * v)) @ a.T for a, v in zip(self.nn_stacks, wn))
+        return sum([*psd, *nonneg], np.zeros((m, m)))
 
     def add_scaled(self, vec, w, rd, wn, rdn):
-        """vec += A(W R W), block by block in block order, in place."""
+        """vec += A(W R W), block by block, in place."""
         t = w @ rd @ w
         psd = (self.flats @ t.reshape(len(t), self.n * self.n, 1))[:, :, 0]
-        nonneg = [f @ (v * v * r) for f, v, r in zip(self.nn_stacks, wn, rdn)]
-        for part in _in_block_order(self.order, psd, nonneg):
+        for part in [*psd, *(f @ (v * v * r) for f, v, r in zip(self.nn_stacks, wn, rdn))]:
             vec += part
 
 
@@ -418,7 +394,6 @@ class _UnitDiagonalRows:
     enters."""
 
     half = 1.0
-    order = (0,)
 
     def __init__(self, problem: ConicProblem):
         self.dtype = np.complex128
@@ -449,54 +424,57 @@ class _UnitDiagonalRows:
         vec += np.einsum("ij,ji->i", w[0] @ rd[0], w[0]).real
 
 
-def solve(problem: ConicProblem, options: SolveOptions | None = None) -> ConicSolution:
-    opts = options or SolveOptions()
+def solve(problem: ConicProblem, *, tol: float = 1e-8, max_iter: int = 200,
+          start: tuple | None = None) -> ConicSolution:
+    """Solve a problem to relative residuals, gap and complementarity <= tol.
+
+    start is an optional strictly interior point (x blocks, y, s blocks) in
+    the complex convention; identity / zero when None.  A feasible start keeps
+    every iterate feasible, so weak duality holds along the whole path.
+    """
     m = problem.rhs.size
     rows = _UnitDiagonalRows(problem) if problem.unit_diagonal else _StackedRows(problem)
     c, cn, rhs, half, n = rows.cost, rows.nn_costs, rows.rhs, rows.half, rows.n
 
-    def blocks(psd, nonneg):
-        return _in_block_order(rows.order, psd, nonneg)
-
     nu = float(len(c) * n + sum(v.size for v in cn))
-    cnorm = np.sqrt(sum(blocks(_inners(c, c), [_inner(v, v) for v in cn])))
+    cnorm = np.sqrt(sum(_inners(c, c) + [_inner(v, v) for v in cn]))
     bnorm = float(np.linalg.norm(rhs))
 
-    if opts.start is None:
+    if start is None:
         x = np.repeat(np.eye(n, dtype=rows.dtype)[None], len(c), axis=0)
         s = x.copy()
         xn = [np.ones(v.size) for v in cn]
         sn = [np.ones(v.size) for v in cn]
         y = np.zeros(m)
     else:
-        x0, y0, s0 = opts.start
+        x0, y0, s0 = start
         x, xn, s, sn = rows.enter(x0, s0)
         y = np.asarray(y0, dtype=float).copy()
 
     history = []
-    status = SolveStatus.MAX_ITER
-    it = 0
-    for it in range(opts.max_iter + 1):
-        pobj = sum(blocks(_inners(c, x), [_inner(v, w) for v, w in zip(cn, xn)]))
+    for it in count():
+        pobj = sum(_inners(c, x) + [_inner(v, w) for v, w in zip(cn, xn)])
         dobj = float(rhs @ y)
         rp = rhs - rows.apply(x, xn)
         aty, atyn = rows.adjoint(y)
         rd = c - aty - s
         rdn = [v - at - w for v, at, w in zip(cn, atyn, sn)]
-        compl = sum(blocks(_inners(x, s), [float(v @ w) for v, w in zip(xn, sn)]))
+        compl = sum(_inners(x, s) + [float(v @ w) for v, w in zip(xn, sn)])
         mu = compl / nu
 
         p_ext, d_ext = half * pobj, half * dobj
         gap_rel = abs(p_ext - d_ext) / (1.0 + abs(p_ext))
         rp_rel = float(np.linalg.norm(rp)) / (1.0 + bnorm)
-        rd_rel = np.sqrt(sum(blocks(_inners(rd, rd), [_inner(v, v) for v in rdn]))) / (1.0 + cnorm)
+        rd_rel = np.sqrt(sum(_inners(rd, rd) + [_inner(v, v) for v in rdn])) / (1.0 + cnorm)
         compl_rel = half * compl / (1.0 + abs(p_ext))
         history.append({"iteration": it, "primal": p_ext, "dual": d_ext, "gap": gap_rel})
 
-        if rp_rel <= opts.tol and rd_rel <= opts.tol and gap_rel <= opts.tol and compl_rel <= opts.tol:
+        # every exit breaks here or below, before the update: the returned
+        # iterate is the one these values were computed from
+        if rp_rel <= tol and rd_rel <= tol and gap_rel <= tol and compl_rel <= tol:
             status = SolveStatus.OPTIMAL
             break
-        if it == opts.max_iter:
+        if it >= max_iter:
             status = SolveStatus.MAX_ITER
             break
 
@@ -540,20 +518,16 @@ def solve(problem: ConicProblem, options: SolveOptions | None = None) -> ConicSo
 
         def max_steps(dx, dxn, ds, dsn):
             steps = _max_step_psd(lxs, np.concatenate([dx, ds]))  # x's, then s's
-            ap = min([np.inf, *blocks(steps[:len(dx)],
-                                      [_max_step_nonneg(v, u) for v, u in zip(xn, dxn)])])
-            ad = min([np.inf, *blocks(steps[len(dx):],
-                                      [_max_step_nonneg(v, u) for v, u in zip(sn, dsn)])])
+            ap = min([np.inf, *steps[:len(dx)], *map(_max_step_nonneg, xn, dxn)])
+            ad = min([np.inf, *steps[len(dx):], *map(_max_step_nonneg, sn, dsn)])
             return ap, ad
 
         dxa, dxna, _, dsa, dsna = newton(0.0, None, [None] * len(xn))
         ap_aff, ad_aff = max_steps(dxa, dxna, dsa, dsna)
         ap_aff, ad_aff = min(1.0, ap_aff), min(1.0, ad_aff)
-        compl_aff = 0.0
-        for part in blocks(_inners(x + ap_aff * dxa, s + ad_aff * dsa),
-                           [float((v + ap_aff * dv) @ (u + ad_aff * du))
-                            for v, dv, u, du in zip(xn, dxna, sn, dsna)]):
-            compl_aff += part
+        compl_aff = sum(_inners(x + ap_aff * dxa, s + ad_aff * dsa)
+                        + [float((v + ap_aff * dv) @ (u + ad_aff * du))
+                           for v, dv, u, du in zip(xn, dxna, sn, dsna)])
         sigma = float(np.clip((max(compl_aff, 0.0) / nu / mu) ** 3, 0.0, 1.0)) if mu > 0 else 0.0
 
         dxh = rinv @ dxa @ _h(rinv)
@@ -575,23 +549,22 @@ def solve(problem: ConicProblem, options: SolveOptions | None = None) -> ConicSo
         y = y + ad * dy
 
     x_out, s_out = rows.leave(x, xn, s, sn)
-    pobj = half * sum(blocks(_inners(c, x), [_inner(v, w) for v, w in zip(cn, xn)]))
-    dobj = half * float(rhs @ y)
     return ConicSolution(
         status=status,
         x=x_out,
         y=y.copy(),
         s=s_out,
-        primal_value=pobj,
-        dual_value=dobj,
-        gap=abs(pobj - dobj) / (1.0 + abs(pobj)),
+        primal_value=p_ext,
+        dual_value=d_ext,
+        gap=gap_rel,
         iterations=it,
         history=history,
     )
 
 
-def solve_or_raise(problem: ConicProblem, options: SolveOptions | None = None) -> ConicSolution:
-    sol = solve(problem, options)
+def solve_or_raise(problem: ConicProblem, **options) -> ConicSolution:
+    """solve, raising SolverError unless the status is OPTIMAL."""
+    sol = solve(problem, **options)
     if sol.status is not SolveStatus.OPTIMAL:
         raise SolverError(f"solve ended with status {sol.status.value}")
     return sol
@@ -623,14 +596,11 @@ def entry_coords(mat) -> np.ndarray:
     """Coordinates b with <basis_i, M> = b_i for the hermitian_basis order."""
     a = np.asarray(mat, dtype=np.complex128)
     d = a.shape[0]
+    pairs = a[np.triu_indices(d, 1)]
     out = np.empty(d * d)
     out[:d] = np.diag(a).real
-    idx = d
-    for k in range(d):
-        for l in range(k + 1, d):
-            out[idx] = 2.0 * a[k, l].real
-            out[idx + 1] = 2.0 * a[k, l].imag
-            idx += 2
+    out[d::2] = 2.0 * pairs.real
+    out[d + 1::2] = 2.0 * pairs.imag
     return out
 
 

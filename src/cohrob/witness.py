@@ -187,7 +187,7 @@ def best_witness_from_data(data: WitnessDataset, tol: float = 1e-8) -> WitnessFi
         [0.5 * np.eye(d, dtype=np.complex128), 0.5 * np.ones(d),
          np.full(k + 1, COEFF_BOX) - y0, np.full(k + 1, COEFF_BOX) + y0],
     )
-    sol = sdp.solve_or_raise(problem, sdp.SolveOptions(tol=tol, start=start))
+    sol = sdp.solve_or_raise(problem, tol=tol, start=start)
 
     coeffs = sol.y[:k].copy()
     offset = float(sol.y[k])
@@ -268,7 +268,7 @@ def _phase1_deviation(data: WitnessDataset, slack: np.ndarray, tol: float) -> tu
         [np.eye(d, dtype=np.complex128), eps * np.ones(k), eps * np.ones(k),
          np.array([1.0 - 2 * k * eps])],
     )
-    sol = sdp.solve_or_raise(problem, sdp.SolveOptions(tol=tol, start=start))
+    sol = sdp.solve_or_raise(problem, tol=tol, start=start)
     return max(0.0, float(sol.primal_value)), sol.x[0]
 
 

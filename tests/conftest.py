@@ -1,6 +1,7 @@
 """Shared test plumbing: fixture loading, solve recording, hypothesis profile."""
 import json
 import os
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import HealthCheck, settings
@@ -54,13 +55,14 @@ def load_fixture():
 
 @pytest.fixture
 def recorded_solves(monkeypatch):
-    """Every sdp.solve call the test makes, as (options, solution) in order."""
+    """Every sdp.solve call the test makes, as (keyword arguments, solution) in
+    order; the arguments read as attributes, e.g. options.tol."""
     solves = []
     real_solve = sdp.solve
 
-    def recorded(problem, options=None):
-        sol = real_solve(problem, options)
-        solves.append((options, sol))
+    def recorded(problem, **options):
+        sol = real_solve(problem, **options)
+        solves.append((SimpleNamespace(**options), sol))
         return sol
 
     monkeypatch.setattr(sdp, "solve", recorded)

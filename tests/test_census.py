@@ -41,12 +41,19 @@ def test_census_games_seed_1():
     check_whole_pool(line, "games", 384)
 
 
-# data_cli cases whose solves sit near a stall: engine variants that changed
-# the data programs' arithmetic made each of these fail
+def test_census_certify_small_seed_1():
+    # pure, low-rank and near-diagonal states: the inputs whose validation
+    # and near-zero decisions the robustness program is most sensitive to
+    [line] = census("certify_small", "1")
+    check_whole_pool(line, "certify_small", 840)
+
+
+# data_cli cases whose solves sit near a stall: engine or formulation variants
+# that changed the data programs' arithmetic made each of these fail
 STALL_PRONE = {
     1: ["r4/consistent/d4", "r13/consistent/d2"],
     4: ["r3/consistent/d3"],
-    5: ["r0/consistent/d5", "r12/consistent/d3"],
+    5: ["r0/consistent/d5", "r12/consistent/d3", "r5/consistent/d2"],
     6: ["r15/consistent/d3"],
     8: ["r12/consistent/d3"],
 }

@@ -17,7 +17,6 @@ from cohrob.sdp import (
     NONNEG,
     PSD,
     ConicProblem,
-    SolveOptions,
     SolveStatus,
     SolverError,
     entry_coords,
@@ -175,6 +174,17 @@ def test_build_rejects_shape_mismatch_and_empty():
                            stacks=[np.ones((1, 2))])
 
 
+def test_build_rejects_psd_block_after_nonneg_block():
+    # the solver keeps the PSD blocks as one stack ahead of the nonneg list
+    with pytest.raises(ValueError, match="PSD blocks must come before"):
+        ConicProblem.build(
+            blocks=[(NONNEG, 1), (PSD, 1)],
+            cost=[np.zeros(1), np.array([[1.0]])],
+            rhs=[1.0],
+            stacks=[np.array([[-1.0]]), np.ones((1, 1, 1))],
+        )
+
+
 def test_build_rejects_psd_blocks_of_different_sizes():
     with pytest.raises(ValueError, match="same size"):
         ConicProblem.build(
@@ -248,7 +258,7 @@ def test_scalar_lower_bound_program():
 
 def test_unit_diagonal_maximally_coherent_d3():
     problem, start = unit_diagonal_problem(maximally_coherent_state(3))
-    sol = solve_or_raise(problem, SolveOptions(start=start))
+    sol = solve_or_raise(problem, start=start)
     assert abs(-sol.primal_value - 3.0) < 1e-7  # best correlation value d
     assert abs(-sol.primal_value - 1.0 - 2.0) < 1e-7  # robustness d - 1
 
@@ -257,7 +267,7 @@ def test_unit_diagonal_maximally_coherent_d3():
 def test_unit_diagonal_qubit_closed_form(seed):
     rho = random_state(2, seed=seed)
     problem, start = unit_diagonal_problem(rho)
-    sol = solve_or_raise(problem, SolveOptions(start=start))
+    sol = solve_or_raise(problem, start=start)
     assert abs(-sol.primal_value - (1.0 + 2.0 * abs(rho[0, 1]))) < 1e-7
 
 
@@ -297,7 +307,7 @@ def residuals(problem, sol):
 def test_optimal_solution_invariants():
     rho = random_state(4, seed=17)
     problem, start = unit_diagonal_problem(rho)
-    sol = solve_or_raise(problem, SolveOptions(start=start))
+    sol = solve_or_raise(problem, start=start)
     assert sol.status is SolveStatus.OPTIMAL
     assert sol.gap <= 1e-8
     primal_res, dual_res = residuals(problem, sol)
@@ -320,7 +330,7 @@ def test_optimal_solution_invariants():
 def test_weak_duality_along_feasible_path():
     rho = random_state(3, seed=23)
     problem, start = _roc_problem(rho)
-    sol = solve_or_raise(problem, SolveOptions(start=start))
+    sol = solve_or_raise(problem, start=start)
     assert len(sol.history) >= 2
     for entry in sol.history:
         assert entry["primal"] >= entry["dual"] - 1e-12
@@ -328,7 +338,7 @@ def test_weak_duality_along_feasible_path():
 
 def scaled_cost_solves(rho, lam):
     problem, start = unit_diagonal_problem(rho)
-    base = solve_or_raise(problem, SolveOptions(start=start))
+    base = solve_or_raise(problem, start=start)
     scaled_problem = ConicProblem.build(
         blocks=problem.blocks,
         cost=[lam * c for c in problem.cost],
@@ -337,7 +347,7 @@ def scaled_cost_solves(rho, lam):
     )
     x0, y0, s0 = start
     scaled_start = ([b.copy() for b in x0], lam * np.asarray(y0), [lam * b for b in s0])
-    scaled = solve_or_raise(scaled_problem, SolveOptions(start=scaled_start))
+    scaled = solve_or_raise(scaled_problem, start=scaled_start)
     return problem, base, scaled
 
 
@@ -375,10 +385,10 @@ def permute_rows(problem, start, perm):
 def test_constraint_permutation_invariance():
     rho = random_state(3, seed=37)
     problem, start = entrywise_roc_problem(rho)
-    base = solve_or_raise(problem, SolveOptions(start=start))
+    base = solve_or_raise(problem, start=start)
     perm = np.array([4, 0, 7, 2, 6, 1, 8, 3, 5])
     permuted, permuted_start = permute_rows(problem, start, perm)
-    other = solve_or_raise(permuted, SolveOptions(start=permuted_start))
+    other = solve_or_raise(permuted, start=permuted_start)
     assert abs(other.primal_value - base.primal_value) < 1e-9
     assert abs(other.dual_value - base.dual_value) < 1e-9
 
@@ -400,7 +410,7 @@ def test_roc_exact_agrees_with_entrywise_formulation(d, kind):
             rank = {"full": d, "rank1": 1, "rank2": 2}[kind]
             rho = random_state(d, rank=rank, seed=seed)
         problem, start = entrywise_roc_problem(rho)
-        ref = solve_or_raise(problem, SolveOptions(tol=1e-10, start=start)).primal_value - 1.0
+        ref = solve_or_raise(problem, tol=1e-10, start=start).primal_value - 1.0
         cert = roc_exact(rho)
         # Tr D - 1 bounds the optimum from above and Tr[Y rho] - 1 from below;
         # the tighter entrywise optimum must fall inside that bracket, up to
@@ -433,9 +443,9 @@ def test_games_and_data_programs_take_the_stacked_rows(monkeypatch):
     solved = []
     real_solve = sdp.solve
 
-    def recording(problem, options=None):
+    def recording(problem, **options):
         solved.append(problem)
-        return real_solve(problem, options)
+        return real_solve(problem, **options)
 
     monkeypatch.setattr(sdp, "solve", recording)
     probe = random_state(3, seed=2)
@@ -498,7 +508,7 @@ def test_roc_exact_at_benchmark_sizes(rank, d):
     assert report["delta_pop_floor"] >= -1e-9
     # the robustness program runs on the complex d x d block
     problem, start = _roc_problem(rho)
-    sol = solve_or_raise(problem, SolveOptions(start=start))
+    sol = solve_or_raise(problem, start=start)
     assert sol.x[0].dtype == np.complex128 and sol.x[0].shape == (d, d)
     # the same program with its rows permuted takes the realified stacked
     # rows; its bracket [Tr[Y rho] - 1, Tr D - 1] is the reference.  Both
@@ -508,7 +518,7 @@ def test_roc_exact_at_benchmark_sizes(rank, d):
     # below holds at these seeds but not at d = 32, rank 2, seed 40
     permuted, permuted_start = permute_rows(problem, start, np.roll(np.arange(d), 1))
     assert not permuted.unit_diagonal
-    ref = solve_or_raise(permuted, SolveOptions(start=permuted_start))
+    ref = solve_or_raise(permuted, start=permuted_start)
     assert -ref.primal_value - 1.0 <= cert.value <= -ref.dual_value - 1.0 + 1e-10
 
 
@@ -584,7 +594,7 @@ def test_shared_constraint_stack_changes_no_bits():
         if shared is not None:  # hold the stack once per block
             object.__setattr__(problem, "shared_stack", shared)
         assert problem.shared_stack == (shared is None)
-        return solve_or_raise(problem, SolveOptions(start=start))
+        return solve_or_raise(problem, start=start)
 
     one = solved((basis,) * m)
     for other in (solved([basis.copy() for _ in range(m)]), solved((basis,) * m, shared=False)):
@@ -604,7 +614,7 @@ def test_psd_blocks_factored_once_per_iterate(monkeypatch):
 
     monkeypatch.setattr(sdp, "_chol", counted)
     problem, start = _roc_problem(random_state(4, seed=6))
-    sol = solve_or_raise(problem, SolveOptions(start=start))
+    sol = solve_or_raise(problem, start=start)
     # NT scaling factors x and s once each, the step lengths reuse them, and
     # the Schur complement goes through the same routine once per iterate
     assert sol.iterations > 0
@@ -615,8 +625,8 @@ def test_psd_blocks_factored_once_per_iterate(monkeypatch):
 def test_solver_deterministic():
     rho = random_state(3, seed=41)
     problem, start = unit_diagonal_problem(rho)
-    a = solve_or_raise(problem, SolveOptions(start=start))
-    b = solve_or_raise(problem, SolveOptions(start=start))
+    a = solve_or_raise(problem, start=start)
+    b = solve_or_raise(problem, start=start)
     assert a.primal_value == b.primal_value
     assert a.iterations == b.iterations
     assert np.array_equal(a.x[0], b.x[0])
@@ -624,16 +634,15 @@ def test_solver_deterministic():
 
 def test_honest_max_iter_status_and_raise():
     problem, start = unit_diagonal_problem(random_state(3, seed=2))
-    crippled = SolveOptions(max_iter=1, start=start)
-    sol = solve(problem, crippled)
+    sol = solve(problem, max_iter=1, start=start)
     assert sol.status is SolveStatus.MAX_ITER
     with pytest.raises(SolverError):
-        solve_or_raise(problem, SolveOptions(max_iter=1, start=start))
+        solve_or_raise(problem, max_iter=1, start=start)
 
 
 def test_iterate_log_dump():
     problem, start = unit_diagonal_problem(random_state(2, seed=3))
-    lines = solve_or_raise(problem, SolveOptions(start=start)).history
+    lines = solve_or_raise(problem, start=start).history
     assert len(lines) >= 2
     assert all(set(entry) == {"iteration", "primal", "dual", "gap"} for entry in lines)
     assert lines[-1]["gap"] <= 1e-8
@@ -641,5 +650,5 @@ def test_iterate_log_dump():
 
 def test_tight_tolerance_still_converges():
     problem, start = unit_diagonal_problem(random_state(3, seed=9))
-    sol = solve_or_raise(problem, SolveOptions(tol=1e-10, start=start))
+    sol = solve_or_raise(problem, tol=1e-10, start=start)
     assert sol.gap <= 1e-10

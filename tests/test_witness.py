@@ -184,8 +184,8 @@ def _fit_with_perturbed_dual(monkeypatch, perturb):
     """best_witness_from_data on a qutrit dataset whose solve returns perturb(y)."""
     real_solve = sdp.solve
 
-    def perturbed(problem, options=None):
-        sol = real_solve(problem, options)
+    def perturbed(problem, **options):
+        sol = real_solve(problem, **options)
         sol.y = perturb(sol.y)
         return sol
 
