@@ -40,8 +40,10 @@ def as_hermitian(m, tol: float = HERMITICITY_TOL) -> np.ndarray:
 def as_density(m) -> np.ndarray:
     """Validate a density matrix: Hermitian, unit trace, spectrum >= -1e-10.
 
-    Eigenvalues in [-1e-10, 0) are clamped to zero and the trace
-    renormalized, so the returned matrix is exactly positive semidefinite.
+    A matrix whose negative eigenvalues are within eigensolver roundoff,
+    n * eps * lambda_max, is returned exactly as as_hermitian gives it, so
+    valid input is never moved.  Larger negative eigenvalues, down to -1e-10,
+    are clamped to zero and the trace renormalized.
     """
     a = as_hermitian(m)
     tr = np.trace(a).real
@@ -50,7 +52,7 @@ def as_density(m) -> np.ndarray:
     w, v = jacobi_eigh(a)
     if w[0] < EIGENVALUE_FLOOR:
         raise ValueError(f"matrix is not positive semidefinite: min eigenvalue {w[0]:.3e}")
-    if w[0] < 0.0:
+    if w[0] < -a.shape[0] * np.finfo(float).eps * w[-1]:
         w = np.clip(w, 0.0, None)
         a = (v * w) @ v.conj().T
         a = 0.5 * (a + a.conj().T)

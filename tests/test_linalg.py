@@ -67,6 +67,16 @@ def test_as_density_clamps_tiny_negative_eigenvalue():
     assert abs(np.trace(rho) - 1) < 1e-12
 
 
+@pytest.mark.parametrize("rho", [
+    np.full((3, 3), 0.3333333333333333),
+    *(random_state(d, rank=1, seed=seed) for d in (2, 4, 8) for seed in range(4)),
+])
+def test_as_density_returns_valid_rank_one_input_bit_for_bit(rho):
+    # a negative eigenvalue at eigensolver roundoff is no reason to rebuild
+    # the matrix from its eigenvectors, which would move every entry
+    assert as_density(rho).tobytes() == as_hermitian(rho).tobytes()
+
+
 def test_as_pure_normalization_and_shape():
     v = as_pure(np.array([1.0, 1.0j]) / np.sqrt(2.0))
     assert abs(np.vdot(v, v) - 1) < 1e-12
