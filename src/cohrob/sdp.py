@@ -243,12 +243,15 @@ def _chol(a, floor, ladder):
     factor, each matrix takes the first jitter of the ladder at which
     a + jitter * ridge_scale * I factors, ridge_scale being its largest
     diagonal entry and at least floor, exactly as if factored alone; None
-    when some matrix factors at no jitter of the ladder.
+    when some matrix factors at no jitter of the ladder.  A stack of one
+    has just failed unjittered, so its ladder starts at the second rung.
     """
     try:
         return np.linalg.cholesky(a)
     except np.linalg.LinAlgError:
         pass
+    if len(a) == 1:
+        ladder = ladder[1:]
     out = np.empty_like(a)
     for b, blk in enumerate(a):
         ridge_scale = max(float(np.max(np.diag(blk).real)), floor)

@@ -450,7 +450,7 @@ def test_games_and_data_programs_take_the_stacked_rows(monkeypatch):
     monkeypatch.setattr(sdp, "solve", recording)
     probe = random_state(3, seed=2)
     success_probability(random_phase_game(3, 3, seed=1), probe)
-    success_probability(random_channel_game(3, outcomes=2, seed=1), probe)
+    success_probability(random_channel_game(3, outcomes=3, seed=1), probe)
     rng = np.random.default_rng(5)
     obs = [as_hermitian(g + g.conj().T) for g in
            rng.normal(size=(3, 3, 3)) + 1j * rng.normal(size=(3, 3, 3))]
@@ -459,7 +459,8 @@ def test_games_and_data_programs_take_the_stacked_rows(monkeypatch):
     min_roc_from_data(data)
     min_roc_from_data(data, slack=0.01)
     # phase 1 and the joint program for each data solve, plus the fit and
-    # the two measurement programs: none is the robustness program
+    # the two measurement programs (three hypotheses each, so neither game is
+    # answered in closed form): none is the robustness program
     assert len(solved) >= 7
     assert not any(problem.unit_diagonal for problem in solved)
 
@@ -574,6 +575,26 @@ def test_jitter_ladder_runs_per_block():
     rung = sdp.BLOCK_JITTER[1]
     assert _same_bits(got[1], np.linalg.cholesky(singular + rung * 1.0 * np.eye(2)))
     assert sdp._chol(np.stack([pd, -np.eye(2)]), 1e-300, sdp.BLOCK_JITTER) is None
+
+
+def test_jitter_ladder_of_a_stack_of_one_skips_the_failed_rung(monkeypatch):
+    # the stack's own unjittered factorization was the matrix's rung 0, so the
+    # fallback starts at rung 1 and gives the bits of the full ladder
+    singular = np.ones((2, 2))
+    calls = []
+    cholesky = np.linalg.cholesky
+
+    def counted(a):
+        calls.append(a)
+        return cholesky(a)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counted)
+    got = sdp._chol(singular[None], 1.0, sdp.SCHUR_JITTER)
+    rung = sdp.SCHUR_JITTER[1]
+    assert _same_bits(got[0], cholesky(singular + rung * 1.0 * np.eye(2)))
+    assert len(calls) == 2  # the whole stack, then rung 1
+    assert sdp._chol(-np.eye(2)[None], 1.0, sdp.SCHUR_JITTER) is None
+    assert len(calls) == 2 + len(sdp.SCHUR_JITTER)
 
 
 def test_shared_constraint_stack_changes_no_bits():
