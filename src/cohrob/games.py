@@ -4,7 +4,11 @@ A phase game applies one of several diagonal phase unitaries exp(i N phi_k)
 (N the number operator) to a probe state, a channel game applies one of
 several trace-preserving channels; the player then measures to guess which
 one acted.  The best success probability is a semidefinite program over
-measurements, solved here once and checked by its dual certificate.
+measurements.  It is answered by one of three routes chosen from the game's
+data, and every answer is checked by the same dual certificate:
+two-hypothesis games by Helstrom's closed form, with no solve; the canonical
+uniform game over the d clock phases by one robustness solve, whose program
+it is; every other game by one solve of the measurement program.
 The advantage over the best incoherent probe is capped by one plus the
 robustness of coherence, with equality at the canonical uniform-phase game.
 """
@@ -15,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import sdp
-from .linalg import as_density, as_hermitian, basis_projector
+from .linalg import as_density, as_hermitian, basis_projector, jacobi_eigh
 from .roc import roc_exact
 
 PRIOR_SUM_TOL = 1e-12
@@ -193,6 +197,48 @@ def _optimal_measurement(weighted, tol: float):
     return povm, -sdp.hermitian_from_coords(sol.y, d)
 
 
+def _helstrom_measurement(weighted):
+    """Two hypotheses: the projector onto the positive part of A_1 - A_2.
+
+    With A_1 - A_2 = V diag(w) V†, M_1 = P_+ projects onto w > 0 and
+    M_2 = 1 - P_+; Q = A_2 + V max(w, 0) V† dominates both A_k and
+    Tr Q = Tr A_2 + sum max(w, 0) is the value (Helstrom, 1976).
+    """
+    a1, a2 = weighted
+    w, v = jacobi_eigh(a1 - a2)
+    plus = v[:, w > 0.0]
+    p_plus = plus @ plus.conj().T
+    return [p_plus, np.eye(len(w)) - p_plus], a2 + (v * np.maximum(w, 0.0)) @ v.conj().T
+
+
+def _is_canonical(game) -> bool:
+    """True for d entries with priors 1/d and the phases 2 pi k / d in any order."""
+    d = game.dim
+    if not isinstance(game, PhaseGame) or len(game.entries) != d:
+        return False
+    phases = np.sort([phi for _, phi in game.entries])
+    return bool(np.all(np.abs(game.priors - 1.0 / d) <= PRIOR_SUM_TOL)
+                and np.all(np.abs(phases - 2.0 * np.pi * np.arange(d) / d)
+                           <= PHASE_DISTINCT_TOL))
+
+
+def _canonical_measurement(game, rho, tol: float):
+    """The canonical game's pair from one robustness solve.
+
+    Covariance reduces the measurement program to max Tr[Y rho] / d over
+    Y >= 0 with unit diagonal, the robustness program.  M_k = U_k Y U_k† / d
+    sums to the identity because diag(Y) = 1, and Q = D / d dominates every
+    U_k rho U_k† / d because D = (1 + value) delta is diagonal and D >= rho.
+    """
+    cert = roc_exact(rho, tol=tol)
+    y = np.eye(game.dim) - cert.witness
+    povm = []
+    for _, phi in game.entries:
+        u = phase_channel(game.dim, phi)
+        povm.append(u @ y @ u.conj().T / game.dim)
+    return povm, (1.0 + cert.value) * cert.incoherent_part / game.dim
+
+
 def check_measurement_certificate(weighted, povm, majorant) -> float:
     """Check a primal-dual pair of the measurement program; return its value.
 
@@ -225,14 +271,24 @@ def check_measurement_certificate(weighted, povm, majorant) -> float:
 def success_probability(game, rho, tol: float = 1e-8):
     """Optimal guessing probability for the game on probe rho, with a POVM.
 
-    Makes one solve of the measurement program and checks it outside the
-    engine by its dual certificate (see check_measurement_certificate): the
-    POVM is valid, the dual operator Q dominates every weighted state, and
-    the value of the returned POVM and Tr Q agree within 1e-7.
+    The POVM and a dominating operator Q come from one of three routes,
+    chosen from the game's data: two hypotheses take Helstrom's projector
+    (no solve); the canonical game at d >= 3 (d entries, priors 1/d, the
+    phases 2 pi k / d in any order) takes one roc_exact solve; every other
+    game takes one solve of the measurement program.  Every route is checked
+    outside the engine by the same certificate (see
+    check_measurement_certificate): the POVM is valid, Q dominates every
+    weighted state, and the value of the returned POVM and Tr Q agree
+    within 1e-7.
     """
     states = game.states(rho)
     weighted = [p * s for p, s in zip(game.priors, states)]
-    povm, majorant = _optimal_measurement(weighted, tol)
+    if len(weighted) == 2:
+        povm, majorant = _helstrom_measurement(weighted)
+    elif _is_canonical(game):
+        povm, majorant = _canonical_measurement(game, as_density(rho), tol)
+    else:
+        povm, majorant = _optimal_measurement(weighted, tol)
     return check_measurement_certificate(weighted, povm, majorant), povm
 
 

@@ -13,8 +13,10 @@ from __future__ import annotations
 import numpy as np
 
 from cohrob.games import (
+    _optimal_measurement,
     apply_instrument,
     canonical_game,
+    check_measurement_certificate,
     incoherent_baseline,
     random_channel_game,
     random_incoherent_instrument,
@@ -204,6 +206,22 @@ def test_criterion_07_operational_advantage():
     assert worst_ratio <= 1e-5, f"worst advantage-ratio excess {worst_ratio:.3e}"
 
 
+def test_general_program_at_the_canonical_game():
+    """Companion to criterion 07, which success_probability now answers by
+    the robustness program itself: the measurement program, solved on its
+    own, gives d p* = 1 + value on a seeded subset."""
+    worst = 0.0
+    for d in range(2, 7):
+        game = canonical_game(d)
+        for j in range(4):
+            rho = random_state(d, seed=5000 + 100 * d + j)
+            weighted = [p * s for p, s in zip(game.priors, game.states(rho))]
+            p_star = check_measurement_certificate(
+                weighted, *_optimal_measurement(weighted, 1e-8))
+            worst = max(worst, abs(d * p_star - (1.0 + roc_exact(rho).value)))
+    assert worst <= 1e-5, f"worst canonical-game mismatch {worst:.3e}"
+
+
 def test_criterion_08_selective_monotonicity():
     """100 (state, incoherent instrument) pairs d=3: average never rises."""
     worst = 0.0
@@ -282,7 +300,12 @@ def test_criterion_12_independent_oracles():
         else:
             game = random_channel_game(2, outcomes=2, kraus_count=2, seed=910 + i)
         rho = random_state(2, seed=960 + i)
-        sdp_value, _ = success_probability(game, rho)
+        value, _ = success_probability(game, rho)
         closed = helstrom_two_outcome(game.priors, game.states(rho))
-        worst_h = max(worst_h, abs(sdp_value - closed))
+        # two hypotheses are answered in closed form, so the measurement
+        # program is solved on the same inputs to keep it under the gate
+        weighted = [p * s for p, s in zip(game.priors, game.states(rho))]
+        sdp_value = check_measurement_certificate(
+            weighted, *_optimal_measurement(weighted, 1e-8))
+        worst_h = max(worst_h, abs(value - closed), abs(sdp_value - closed))
     assert worst_h <= 1e-7, f"worst Helstrom mismatch {worst_h:.3e}"

@@ -32,6 +32,8 @@ from cohrob.linalg import (
     random_pure,
     random_state,
 )
+from cohrob import sdp
+from cohrob.oracle import helstrom_two_outcome
 from cohrob.roc import roc_exact
 from cohrob.sdp import SolverError
 
@@ -108,6 +110,12 @@ def test_validate_povm_accepts_projective_and_rejects_broken():
 
 
 # -- optimal success probability ------------------------------------------------------------
+
+
+def _general_value(game, rho):
+    """The measurement program's certified value, whatever route the game takes."""
+    weighted = [p * s for p, s in zip(game.priors, game.states(rho))]
+    return check_measurement_certificate(weighted, *_optimal_measurement(weighted, 1e-8))
 
 
 def test_orthogonal_pair_perfectly_distinguishable():
@@ -196,6 +204,96 @@ def test_channel_baseline_basis_probe_regression(d, seed, probe):
     assert 0.0 <= p <= 1.0 + CROSS_CHECK_TOL
     base = incoherent_baseline(game)
     assert float(np.max(game.priors)) - CROSS_CHECK_TOL <= base <= 1.0 + CROSS_CHECK_TOL
+    # two hypotheses are answered in closed form; the measurement program
+    # still solves and certifies these probes
+    assert abs(_general_value(game, basis_projector(d, probe)) - p) <= CROSS_CHECK_TOL
+
+
+# -- routes: Helstrom, canonical, general -----------------------------------------------
+
+
+@pytest.fixture
+def solved_problems(monkeypatch):
+    """Every problem passed to sdp.solve, in order."""
+    problems = []
+    real_solve = sdp.solve
+
+    def recording(problem, **options):
+        problems.append(problem)
+        return real_solve(problem, **options)
+
+    monkeypatch.setattr(sdp, "solve", recording)
+    return problems
+
+
+def _probes(d, seed):
+    """Seeded pure, full-rank, diagonal and near-diagonal states."""
+    rng = np.random.default_rng(seed)
+    pops = rng.dirichlet(np.ones(d))
+    h = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    off = 1e-6 * (h + h.conj().T - np.diag(np.diag(h + h.conj().T)))
+    return {
+        "pure": density_of(random_pure(d, seed=seed)),
+        "full_rank": random_state(d, seed=seed),
+        "diagonal": np.diag(pops),
+        "near_diagonal": np.diag(pops + 4e-6 * d) / (1.0 + 4e-6 * d ** 2) + off,
+    }
+
+
+@pytest.mark.parametrize("d", range(2, 7))
+@pytest.mark.parametrize("kind", ["phase", "channel"])
+def test_two_hypothesis_games_make_no_solve(d, kind, recorded_solves):
+    if kind == "phase":
+        game = random_phase_game(d, outcomes=2, seed=30 + d)
+    else:
+        game = random_channel_game(d, outcomes=2, kraus_count=2, seed=30 + d)
+    for rho in _probes(d, seed=40 + d).values():
+        p, povm = success_probability(game, rho)
+        assert recorded_solves == []
+        validate_povm(povm, d=d)
+        assert abs(p - _general_value(game, rho)) <= CROSS_CHECK_TOL
+        recorded_solves.clear()
+        if d == 2:
+            assert abs(p - helstrom_two_outcome(game.priors, game.states(rho))) <= 1e-12
+
+
+@pytest.mark.parametrize("d", range(2, 7))
+def test_canonical_game_agrees_with_the_general_program(d, solved_problems):
+    game = canonical_game(d)
+    for kind, rho in _probes(d, seed=50 + d).items():
+        solved_problems.clear()
+        p, povm = success_probability(game, rho)
+        validate_povm(povm, d=d)
+        if d >= 3:  # at d = 2 the game has two hypotheses: no solve
+            # one robustness program; near-zero values continue its solve
+            [problem] = {id(q): q for q in solved_problems}.values()
+            assert problem.unit_diagonal, kind
+        assert abs(p - _general_value(game, rho)) <= CROSS_CHECK_TOL, kind
+
+
+def _takes_general_route(game, rho, problems):
+    problems.clear()
+    success_probability(game, rho)
+    [problem] = problems
+    return not problem.unit_diagonal and len(problem.blocks) == len(game.entries)
+
+
+@pytest.mark.parametrize("d", [3, 4, 5])
+def test_only_canonical_games_take_the_robustness_solve(d, solved_problems):
+    rho = random_state(d, seed=60 + d)
+    phases = 2.0 * np.pi * np.arange(d) / d
+    uniform = [1.0 / d] * d
+    skewed = np.arange(1.0, d + 1.0) / np.sum(np.arange(1.0, d + 1.0))
+    moved = phases.copy()
+    moved[1] += 1e-6
+    extra = list(zip([1.0 / (d + 1)] * (d + 1), 2.0 * np.pi * np.arange(d + 1) / (d + 1)))
+    for entries in (zip(skewed, phases), zip(uniform, moved), extra):
+        assert _takes_general_route(PhaseGame.build(d, list(entries)), rho, solved_problems)
+    permuted = PhaseGame.build(d, list(zip(uniform, phases[::-1])))
+    assert not _takes_general_route(permuted, rho, solved_problems)
+    assert solved_problems[0].unit_diagonal
+    p, _ = success_probability(permuted, rho)
+    assert abs(p - _general_value(permuted, rho)) <= CROSS_CHECK_TOL
 
 
 # -- measurement certificate -------------------------------------------------------------------

@@ -4,7 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cohrob.games import PhaseGame, success_probability
+from cohrob.games import (
+    PhaseGame,
+    _optimal_measurement,
+    check_measurement_certificate,
+    success_probability,
+)
 from cohrob.jsonio import matrix_from_json
 from cohrob.linalg import (
     basis_projector,
@@ -108,8 +113,13 @@ def test_helstrom_gates_the_game_solver(seed):
     if phases[1] - phases[0] < 1e-3:
         phases[1] += 0.5
     game = PhaseGame.build(2, [(p0, phases[0]), (1.0 - p0, phases[1])])
-    sdp_value, _ = success_probability(game, rho)
+    value, _ = success_probability(game, rho)
     oracle = helstrom_two_outcome(game.priors, game.states(rho))
+    assert abs(value - oracle) <= 1e-7
+    # success_probability answers two hypotheses in closed form, so the
+    # measurement program is solved here to keep it under the oracle's gate
+    weighted = [p * s for p, s in zip(game.priors, game.states(rho))]
+    sdp_value = check_measurement_certificate(weighted, *_optimal_measurement(weighted, 1e-8))
     assert abs(sdp_value - oracle) <= 1e-7
 
 
