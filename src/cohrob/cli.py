@@ -5,8 +5,9 @@ device-data programs, discrimination games, the operational-advantage check,
 a qubit Bloch-ball sweep, and the randomized invariant audit.
 
 Exit codes: 0 success; 1 malformed input, malformed command line or
-dimension mismatch; 2 solver failure; 3 invalid witness; 4 data inconsistent
-with any quantum state; 5 operational-theorem mismatch beyond tolerance.
+dimension mismatch; 2 solver failure, including a LAPACK breakdown; 3
+invalid witness; 4 data inconsistent with any quantum state; 5
+operational-theorem mismatch beyond tolerance.
 
 Human-readable output uses fixed 6-decimal formatting; --json emits full
 precision.  Diagnostics go to stderr only.
@@ -321,7 +322,8 @@ def main(argv=None) -> int:
     except InfeasibleDataError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_INFEASIBLE_DATA
-    except SolverError as exc:
+    except (SolverError, np.linalg.LinAlgError) as exc:
+        # LinAlgError subclasses ValueError, but it is a numerical breakdown
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER_FAILURE
     except (jsonio.InputFormatError, ValueError) as exc:

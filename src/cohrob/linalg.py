@@ -142,7 +142,8 @@ def matrix_norms(m) -> Norms:
 # -- spectral routine ---------------------------------------------------------
 
 def jacobi_eigh(m):
-    """Eigendecomposition of the Hermitian part (M + M†)/2 by LAPACK.
+    """Eigendecomposition of the Hermitian part (M + M†)/2 by LAPACK, of a
+    matrix or of each matrix in a stack shaped (..., n, n).
 
     Returns (w, V) with eigenvalues ascending and M ~= V diag(w) V†.  The
     explicit symmetrization matters: numpy's eigh reads only one triangle.
@@ -150,7 +151,7 @@ def jacobi_eigh(m):
     that look it up by attribute.
     """
     a = np.asarray(m, dtype=np.complex128)
-    return np.linalg.eigh(0.5 * (a + a.conj().T))
+    return np.linalg.eigh(0.5 * (a + a.conj().swapaxes(-1, -2)))
 
 
 def jacobi_eigvalsh(m) -> np.ndarray:

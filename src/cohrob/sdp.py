@@ -40,6 +40,7 @@ stopping tests and the update are one path for both.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
@@ -310,12 +311,19 @@ def _nt_scaling(x, s):
     return r, rinv, r @ _h(r), lam, np.concatenate([lx, ls])
 
 
-def _max_step_psd(l, d) -> list:
+def _max_step_psd(l, d) -> list | None:
     """Per block, the largest step t with L L^H + t d PSD, for the Cholesky
-    factors l of the blocks' iterate; inf where no step is limited."""
-    z = np.linalg.solve(l, d)
-    n = np.linalg.solve(l, _h(z))
-    wmin = np.linalg.eigvalsh(0.5 * (n + _h(n)))[:, :1].ravel().tolist()
+    factors l of the blocks' iterate; inf where no step is limited.  None
+    when LAPACK does not converge or an eigenvalue is not finite, as for a
+    direction with an inf or nan entry."""
+    try:
+        z = np.linalg.solve(l, d)
+        n = np.linalg.solve(l, _h(z))
+        wmin = np.linalg.eigvalsh(0.5 * (n + _h(n)))[:, :1].ravel().tolist()
+    except np.linalg.LinAlgError:
+        return None
+    if not all(map(math.isfinite, wmin)):
+        return None
     return [np.inf if w >= -1e-14 else 1.0 / (-w) for w in wmin]
 
 
@@ -488,7 +496,9 @@ def solve(problem: ConicProblem, *, tol: float = 1e-8, max_iter: int = 200,
         r, rinv, w, lam, lxs = nt
         wn = [np.sqrt(v / u) for v, u in zip(xn, sn)]
 
-        lm = _chol(rows.schur(w, wn)[None], 1.0, SCHUR_JITTER)
+        schur = rows.schur(w, wn)
+        # an overflowed iterate: numpy factors inf or nan entries into nan
+        lm = _chol(schur[None], 1.0, SCHUR_JITTER) if np.isfinite(schur).all() else None
         if lm is None:
             status = SolveStatus.NUMERICAL_FAILURE
             break
@@ -520,14 +530,20 @@ def solve(problem: ConicProblem, *, tol: float = 1e-8, max_iter: int = 200,
             return dx, dxn, dy, ds, dsn
 
         def max_steps(dx, dxn, ds, dsn):
+            """(ap, ad), or None when the step-length test breaks down."""
             steps = _max_step_psd(lxs, np.concatenate([dx, ds]))  # x's, then s's
+            if steps is None:
+                return None
             ap = min([np.inf, *steps[:len(dx)], *map(_max_step_nonneg, xn, dxn)])
             ad = min([np.inf, *steps[len(dx):], *map(_max_step_nonneg, sn, dsn)])
             return ap, ad
 
         dxa, dxna, _, dsa, dsna = newton(0.0, None, [None] * len(xn))
-        ap_aff, ad_aff = max_steps(dxa, dxna, dsa, dsna)
-        ap_aff, ad_aff = min(1.0, ap_aff), min(1.0, ad_aff)
+        steps = max_steps(dxa, dxna, dsa, dsna)
+        if steps is None:
+            status = SolveStatus.NUMERICAL_FAILURE
+            break
+        ap_aff, ad_aff = min(1.0, steps[0]), min(1.0, steps[1])
         compl_aff = sum(_inners(x + ap_aff * dxa, s + ad_aff * dsa)
                         + [float((v + ap_aff * dv) @ (u + ad_aff * du))
                            for v, dv, u, du in zip(xn, dxna, sn, dsna)])
@@ -537,9 +553,12 @@ def solve(problem: ConicProblem, *, tol: float = 1e-8, max_iter: int = 200,
         dsh = _h(r) @ dsa @ r
         corr = 0.5 * (dxh @ dsh + dsh @ dxh)
         dx, dxn, dy, ds, dsn = newton(sigma * mu, corr, [v * u for v, u in zip(dxna, dsna)])
-        ap, ad = max_steps(dx, dxn, ds, dsn)
-        ap = min(1.0, FRACTION_TO_BOUNDARY * ap)
-        ad = min(1.0, FRACTION_TO_BOUNDARY * ad)
+        steps = max_steps(dx, dxn, ds, dsn)
+        if steps is None:
+            status = SolveStatus.NUMERICAL_FAILURE
+            break
+        ap = min(1.0, FRACTION_TO_BOUNDARY * steps[0])
+        ad = min(1.0, FRACTION_TO_BOUNDARY * steps[1])
         if max(ap, ad) < 1e-14:
             status = SolveStatus.NUMERICAL_FAILURE
             break

@@ -65,6 +65,7 @@ KNOWN_FAILING = {
     8: ["r8/consistent/d8"],
     101: ["r8/consistent/d2"],
     103: ["r15/consistent/d3"],
+    319: ["r4/consistent/d2"],
 }
 
 

@@ -86,6 +86,23 @@ def test_roc_solver_failure_exit_code(monkeypatch, capsys, max4_state):
     assert "singular" in capsys.readouterr().err
 
 
+def test_linalg_error_is_a_solver_failure_not_bad_input(monkeypatch, capsys, max4_state):
+    # LinAlgError subclasses ValueError, which exits 1 as bad input
+    def boom(rho, tol):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(cli, "roc_exact", boom)
+    assert cli.main(["roc", max4_state]) == 2
+    assert "solver failure: Eigenvalues did not converge" in capsys.readouterr().err
+
+
+def test_min_roc_overflow_exit_two(capsys):
+    path = os.path.join(os.path.dirname(__file__), "fixtures", "thin_slack_overflow_d2.json")
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert cli.main(["min-roc-from-data", path, "--slack", "1e-7"]) == 2
+    assert "solver failure" in capsys.readouterr().err
+
+
 # -- malformed input ------------------------------------------------------------------
 
 

@@ -8,6 +8,8 @@ from cohrob.games import (
     CROSS_CHECK_TOL,
     ChannelGame,
     PhaseGame,
+    _majorant_bound,
+    _majorants,
     _optimal_measurement,
     advantage_ratio,
     apply_instrument,
@@ -209,9 +211,6 @@ def test_channel_baseline_basis_probe_regression(d, seed, probe):
     assert abs(_general_value(game, basis_projector(d, probe)) - p) <= CROSS_CHECK_TOL
 
 
-# -- routes: Helstrom, canonical, general -----------------------------------------------
-
-
 @pytest.fixture
 def solved_problems(monkeypatch):
     """Every problem passed to sdp.solve, in order."""
@@ -224,6 +223,89 @@ def solved_problems(monkeypatch):
 
     monkeypatch.setattr(sdp, "solve", recording)
     return problems
+
+
+# -- the pruned baseline search --------------------------------------------------------------
+
+
+def _basis_probe_values(game):
+    """The checked success probability of every basis probe, in index order."""
+    return [success_probability(game, basis_projector(game.dim, j))[0]
+            for j in range(game.dim)]
+
+
+def _weighted_per_probe(game):
+    return np.array([[p * s for p, s in zip(game.priors, game.states(basis_projector(game.dim, j)))]
+                     for j in range(game.dim)])
+
+
+@pytest.mark.parametrize("d", range(2, 7))
+@pytest.mark.parametrize("outcomes", [2, 3, 4])
+def test_majorants_dominate_and_bound_every_probe(d, outcomes):
+    game = random_channel_game(d, outcomes=outcomes, kraus_count=2, seed=70 + 10 * d + outcomes)
+    values = _basis_probe_values(game)
+    weighted = _weighted_per_probe(game)
+    q = _majorants(weighted)
+    assert q.shape == weighted.shape
+    for value, qs, ws in zip(values, q, weighted):
+        for q_r in qs:
+            assert np.min(np.linalg.eigvalsh(q_r - ws)) >= -1e-12
+            assert np.trace(q_r).real >= value - 1e-12
+    bounds = _majorant_bound(weighted)
+    assert np.array_equal(bounds, np.min(np.trace(q, axis1=-2, axis2=-1).real, axis=-1))
+    # the pruned search returns the maximum over all d probes, bit for bit
+    assert incoherent_baseline(game) == max(values)
+
+
+def test_majorant_of_two_hypotheses_is_helstroms():
+    game = random_channel_game(2, outcomes=2, kraus_count=2, seed=81)
+    for j, bound in enumerate(_majorant_bound(_weighted_per_probe(game))):
+        states = game.states(basis_projector(2, j))
+        assert abs(bound - helstrom_two_outcome(game.priors, states)) <= 1e-12
+
+
+@pytest.mark.parametrize("outcomes", [2, 3])
+def test_baseline_every_probe_ties(outcomes):
+    # one channel under every hypothesis: each probe scores the largest prior
+    channel = random_channel_game(3, outcomes=1, kraus_count=2, seed=82).entries[0][1]
+    priors = np.arange(1.0, outcomes + 1.0) / np.sum(np.arange(1.0, outcomes + 1.0))
+    identical = ChannelGame.build(3, [(p, channel) for p in priors])
+    identity = ChannelGame.build(3, [(p, [np.eye(3)]) for p in priors])
+    for game in (identical, identity):
+        values = _basis_probe_values(game)
+        assert incoherent_baseline(game) == max(values)
+        assert abs(max(values) - priors[-1]) <= CROSS_CHECK_TOL
+
+
+def test_baseline_two_probes_tie_at_the_maximum(solved_problems):
+    # U_k = exp(-i theta_k X) on span{|0>, |1>} and 1 on |2>: the swap of |0>
+    # and |1> commutes with every channel, so probes 0 and 1 tie, and probe 2
+    # passes unchanged, scoring only the largest prior
+    x = np.array([[0.0, 1.0], [1.0, 0.0]])
+    entries = []
+    for prior, theta in zip([0.5, 0.3, 0.2], [0.0, 0.7, 1.9]):
+        u = np.eye(3, dtype=complex)
+        u[:2, :2] = np.cos(theta) * np.eye(2) - 1j * np.sin(theta) * x
+        entries.append((prior, [u]))
+    game = ChannelGame.build(3, entries)
+    values = _basis_probe_values(game)
+    assert abs(values[0] - values[1]) <= 1e-9
+    assert min(values[:2]) > values[2] + 0.1
+    solved_problems.clear()
+    assert incoherent_baseline(game) == max(values)
+    assert len(solved_problems) == 2  # both tied probes; probe 2's bound rules it out
+
+
+def test_pruned_baseline_solves_fewer_than_d_probes(solved_problems):
+    game = random_channel_game(6, outcomes=3, kraus_count=2, seed=83)
+    base = incoherent_baseline(game)
+    assert len(solved_problems) < 6
+    solved_problems.clear()
+    assert base == max(_basis_probe_values(game))
+    assert len(solved_problems) == 6
+
+
+# -- routes: Helstrom, canonical, general -----------------------------------------------
 
 
 def _probes(d, seed):

@@ -241,6 +241,15 @@ def test_eigensolver_uses_hermitian_part_when_triangles_disagree():
     assert np.max(np.abs((u * w) @ u.conj().T - h)) < 1e-12
 
 
+def test_eigensolver_on_a_stack_decomposes_each_matrix():
+    rng = np.random.default_rng(12)
+    g = rng.normal(size=(2, 3, 4, 4)) + 1j * rng.normal(size=(2, 3, 4, 4))  # not Hermitian
+    w, u = jacobi_eigh(g)
+    for idx in np.ndindex(2, 3):
+        w1, u1 = jacobi_eigh(g[idx])
+        assert np.array_equal(w[idx], w1) and np.array_equal(u[idx], u1)
+
+
 # -- swap operator and purity check -------------------------------------------------
 
 

@@ -597,6 +597,15 @@ def test_jitter_ladder_of_a_stack_of_one_skips_the_failed_rung(monkeypatch):
     assert len(calls) == 2 + len(sdp.SCHUR_JITTER)
 
 
+def test_step_length_test_breakdown_is_none():
+    # a nan direction makes eigvalsh raise LinAlgError or return nan; either
+    # way the solve ends as numerical_failure instead of raising
+    l = np.linalg.cholesky(np.eye(2))[None]
+    for bad in (np.nan, np.inf):
+        assert sdp._max_step_psd(l, np.full((1, 2, 2), bad)) is None
+    assert sdp._max_step_psd(l, -np.eye(2)[None]) == [1.0]
+
+
 def test_shared_constraint_stack_changes_no_bits():
     # the measurement program poses one stack for every block; the solver
     # holds it once and broadcasts A^T y, which must give the bits of holding

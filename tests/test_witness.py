@@ -276,6 +276,19 @@ def test_min_roc_pinned_data_with_slack_is_not_pinned():
     assert min_roc_from_data(data, slack=0.01).value < l1_coherence(rho) - 0.01
 
 
+def test_min_roc_overflow_is_a_solver_failure(load_fixture, recorded_solves):
+    # three observables pin a qubit state, and slack 1e-7 leaves an interval
+    # program with almost no interior: its iterates grow until the Schur
+    # complement overflows.  LAPACK then failed to converge and the raw
+    # LinAlgError escaped; the finiteness guard ends the solve instead
+    data = dataset_from_json(load_fixture("thin_slack_overflow_d2.json"))
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        with pytest.raises(sdp.SolverError, match="numerical_failure"):
+            min_roc_from_data(data, slack=1e-7)
+    _, sol = recorded_solves[-1]
+    assert sol.status is sdp.SolveStatus.NUMERICAL_FAILURE
+
+
 def test_min_roc_inconsistent_data_raises():
     data = WitnessDataset.build([PAULI_X], [2.0])
     with pytest.raises(InfeasibleDataError) as err:
