@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import sdp
-from .linalg import as_density, as_hermitian, basis_projector, jacobi_eigh
+from .linalg import as_density, as_hermitian, basis_projector, jacobi_eigh, jacobi_eigvalsh
 from .roc import roc_exact
 
 PRIOR_SUM_TOL = 1e-12
@@ -61,6 +61,14 @@ def _check_priors(priors) -> tuple:
     return tuple(max(0.0, x) for x in p)
 
 
+def _probe(game, rho) -> np.ndarray:
+    """The probe rho validated as a state of the game's dimension."""
+    rho = as_density(rho)
+    if rho.shape[0] != game.dim:
+        raise ValueError(f"dimension mismatch: game {game.dim} vs state {rho.shape[0]}")
+    return rho
+
+
 @dataclass(frozen=True)
 class PhaseGame:
     """Ensemble of phase unitaries: entries (prior, phase) on dimension dim."""
@@ -92,9 +100,7 @@ class PhaseGame:
         return np.array([p for p, _ in self.entries])
 
     def states(self, rho) -> list:
-        rho = as_density(rho)
-        if rho.shape[0] != self.dim:
-            raise ValueError(f"state dimension {rho.shape[0]} != game dimension {self.dim}")
+        rho = _probe(self, rho)
         out = []
         for _, phi in self.entries:
             u = phase_channel(self.dim, phi)
@@ -136,9 +142,7 @@ class ChannelGame:
         return np.array([p for p, _ in self.entries])
 
     def states(self, rho) -> list:
-        rho = as_density(rho)
-        if rho.shape[0] != self.dim:
-            raise ValueError(f"state dimension {rho.shape[0]} != game dimension {self.dim}")
+        rho = _probe(self, rho)
         out = []
         for _, kraus in self.entries:
             out.append(as_hermitian(sum(k @ rho @ k.conj().T for k in kraus)))
@@ -163,7 +167,7 @@ def validate_povm(elements, d: int | None = None) -> None:
     n = mats[0].shape[0]
     if (d is not None and n != d) or any(m.shape != (n, n) for m in mats):
         raise ValueError("measurement dimension mismatch")
-    low = np.linalg.eigvalsh(np.stack(mats))[:, 0]
+    low = jacobi_eigvalsh(np.stack(mats))[:, 0]
     failing = np.flatnonzero(low < POVM_ELEMENT_FLOOR)
     if failing.size:
         idx = failing[0]
@@ -281,7 +285,7 @@ def check_measurement_certificate(weighted, povm, majorant) -> float:
         validate_povm(povm, q.shape[0])
     except ValueError as exc:
         raise sdp.SolverError(f"invalid measurement: {exc}") from None
-    low = np.linalg.eigvalsh(q - np.stack(weighted))[:, 0]
+    low = jacobi_eigvalsh(q - np.stack(weighted))[:, 0]
     failing = np.flatnonzero(low < POVM_ELEMENT_FLOOR)
     if failing.size:
         k = failing[0]

@@ -2,11 +2,13 @@
 
 The shared matrix format is {"dim": d, "re": [[...]], "im": [[...]]},
 row-major, plain decimal doubles.  Loaders raise InputFormatError with the
-file position (for syntax errors) or the offending field (for shape errors).
+file position (for syntax errors) or the offending field (for shape and type
+errors).
 """
 from __future__ import annotations
 
 import json
+import sys
 
 import numpy as np
 
@@ -37,6 +39,22 @@ def _require(obj, key, where):
     return obj[key]
 
 
+def _dim(obj, where: str) -> int:
+    """The positive integer at obj["dim"]; bools are refused."""
+    d = _require(obj, "dim", where)
+    if not isinstance(d, int) or isinstance(d, bool) or d < 1:
+        raise InputFormatError(f"{where}.dim must be a positive integer, got {d!r}")
+    return d
+
+
+def _number(val, where: str) -> float:
+    """A finite JSON number as a float; bools, strings and null are refused."""
+    if isinstance(val, (int, float)) and not isinstance(val, bool) \
+            and abs(val) <= sys.float_info.max:
+        return float(val)
+    raise InputFormatError(f"{where}: not a finite number: {val!r}")
+
+
 def matrix_to_json(m) -> dict:
     a = np.asarray(m, dtype=np.complex128)
     return {
@@ -47,9 +65,7 @@ def matrix_to_json(m) -> dict:
 
 
 def matrix_from_json(obj, where: str = "matrix") -> np.ndarray:
-    d = _require(obj, "dim", where)
-    if not isinstance(d, int) or d < 1:
-        raise InputFormatError(f"{where}: dim must be a positive integer, got {d!r}")
+    d = _dim(obj, where)
     parts = []
     for key in ("re", "im"):
         rows = _require(obj, key, where)
@@ -61,11 +77,7 @@ def matrix_from_json(obj, where: str = "matrix") -> np.ndarray:
                     f"{where}.{key} row {r}: expected {d} entries"
                 )
             for c, val in enumerate(row):
-                if not isinstance(val, (int, float)) or isinstance(val, bool) \
-                        or not np.isfinite(val):
-                    raise InputFormatError(
-                        f"{where}.{key}[{r}][{c}]: not a finite number: {val!r}"
-                    )
+                _number(val, f"{where}.{key}[{r}][{c}]")
         parts.append(np.array(rows, dtype=float))
     return parts[0] + 1j * parts[1]
 
@@ -75,26 +87,21 @@ def certificate_to_json(cert: RocCertificate) -> dict:
         "value": cert.value,
         "gap": cert.gap,
         "method": cert.method,
-        "witness": matrix_to_json(cert.witness) if cert.witness is not None else None,
-        "delta_star": matrix_to_json(cert.incoherent_part)
-        if cert.incoherent_part is not None else None,
+        "witness": matrix_to_json(cert.witness),
+        "delta_star": matrix_to_json(cert.incoherent_part),
         "tau_star": matrix_to_json(cert.noise_part)
         if cert.noise_part is not None else None,
     }
 
 
 def bounds_to_json(report: BoundReport) -> dict:
-    out = {
+    return {
         "upper": report.upper,
         "lower_dim": report.lower_dim,
         "lower_gap_over_peak_population": report.lower_gap_over_peak_population,
         "lower_gap_over_population_norm": report.lower_gap_over_population_norm,
         "lower_gap": report.lower_gap,
     }
-    if report.exact is not None:
-        out["exact"] = report.exact
-        out["consistent"] = report.consistent
-    return out
 
 
 def dataset_to_json(data: WitnessDataset) -> dict:
@@ -106,7 +113,7 @@ def dataset_to_json(data: WitnessDataset) -> dict:
 
 
 def dataset_from_json(obj, where: str = "dataset") -> WitnessDataset:
-    d = _require(obj, "dim", where)
+    d = _dim(obj, where)
     obs_raw = _require(obj, "observables", where)
     exp_raw = _require(obj, "expectations", where)
     if not isinstance(obs_raw, list) or not obs_raw:
@@ -124,7 +131,9 @@ def dataset_from_json(obj, where: str = "dataset") -> WitnessDataset:
             )
         obs.append(mat)
     try:
-        return WitnessDataset.build(obs, [float(e) for e in exp_raw])
+        return WitnessDataset.build(
+            obs, [_number(e, f"{where}.expectations[{i}]") for i, e in enumerate(exp_raw)]
+        )
     except ValueError as exc:
         raise InputFormatError(f"{where}: {exc}") from None
 
@@ -149,7 +158,7 @@ def game_to_json(game) -> dict:
 
 
 def game_from_json(obj, where: str = "game"):
-    d = _require(obj, "dim", where)
+    d = _dim(obj, where)
     kind = _require(obj, "type", where)
     entries_raw = _require(obj, "entries", where)
     if not isinstance(entries_raw, list) or not entries_raw:
@@ -158,24 +167,21 @@ def game_from_json(obj, where: str = "game"):
         if kind == "phase":
             entries = []
             for i, e in enumerate(entries_raw):
-                prior = _require(e, "prior", f"{where}.entries[{i}]")
-                phase = _require(e, "phase", f"{where}.entries[{i}]")
-                entries.append((float(prior), float(phase)))
+                at = f"{where}.entries[{i}]"
+                entries.append((_number(_require(e, "prior", at), f"{at}.prior"),
+                                _number(_require(e, "phase", at), f"{at}.phase")))
             return PhaseGame.build(d, entries)
         if kind == "channel":
             entries = []
             for i, e in enumerate(entries_raw):
-                prior = _require(e, "prior", f"{where}.entries[{i}]")
-                kraus_raw = _require(e, "kraus", f"{where}.entries[{i}]")
+                at = f"{where}.entries[{i}]"
+                prior = _number(_require(e, "prior", at), f"{at}.prior")
+                kraus_raw = _require(e, "kraus", at)
                 if not isinstance(kraus_raw, list) or not kraus_raw:
-                    raise InputFormatError(
-                        f"{where}.entries[{i}].kraus: expected a nonempty list"
-                    )
-                kraus = [
-                    matrix_from_json(k, where=f"{where}.entries[{i}].kraus[{a}]")
-                    for a, k in enumerate(kraus_raw)
-                ]
-                entries.append((float(prior), kraus))
+                    raise InputFormatError(f"{at}.kraus: expected a nonempty list")
+                kraus = [matrix_from_json(k, where=f"{at}.kraus[{a}]")
+                         for a, k in enumerate(kraus_raw)]
+                entries.append((prior, kraus))
             return ChannelGame.build(d, entries)
     except InputFormatError:
         raise

@@ -155,9 +155,10 @@ def jacobi_eigh(m):
 
 
 def jacobi_eigvalsh(m) -> np.ndarray:
-    """Ascending eigenvalues of the Hermitian part (M + M†)/2 by LAPACK."""
+    """Ascending eigenvalues of the Hermitian part (M + M†)/2 by LAPACK, of a
+    matrix or of each matrix in a stack shaped (..., n, n)."""
     a = np.asarray(m, dtype=np.complex128)
-    return np.linalg.eigvalsh(0.5 * (a + a.conj().T))
+    return np.linalg.eigvalsh(0.5 * (a + a.conj().swapaxes(-1, -2)))
 
 
 # -- swap-operator purity identities -----------------------------------------

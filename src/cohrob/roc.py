@@ -30,7 +30,6 @@ from .linalg import (
 VALUE_FLOOR = 1e-9  # at or below this the state counts as incoherent; no tau part
 NEAR_ZERO = 1e-6  # a first-solve value below this is refined at TOL_FLOOR
 TOL_FLOOR = 1e-10  # the smallest solver tolerance: refines and the CLI's --tol floor
-BOUNDS_SLACK = 1e-7  # roc_bounds: allowance when bracketing a supplied exact value
 
 
 @dataclass
@@ -39,7 +38,7 @@ class RocCertificate:
 
     value: the robustness (clamped to >= 0).
     gap: absolute primal-dual difference of the underlying solve.
-    method: "sdp" for certified solves, "fast_path" for closed-form values.
+    method: "sdp", the route that produced the value.
     witness: Hermitian W with zero diagonal and W <= 1; -Tr[W rho] = value.
     incoherent_part: diagonal state delta with (1+value) delta = rho + value tau.
     noise_part: state tau, or None when value <= 1e-9.
@@ -167,12 +166,12 @@ def roc_fast_path(rho) -> float | None:
     return l1_coherence(a)
 
 
-def roc_value(rho, tol: float = 1e-8) -> tuple[float, str]:
+def roc_value(rho) -> tuple[float, str]:
     """Robustness value by the cheapest available route: fast path, else SDP."""
     fast = roc_fast_path(rho)
     if fast is not None:
         return fast, "fast_path"
-    return roc_exact(rho, tol=tol).value, "sdp"
+    return roc_exact(rho).value, "sdp"
 
 
 # -- bound chain -----------------------------------------------------------------
@@ -186,8 +185,6 @@ class BoundReport:
     lower_gap_over_peak_population: purity gap over the largest population.
     lower_gap_over_population_norm: purity gap over the population 2-norm.
     lower_gap: the purity gap Tr[rho^2] - Tr[dephase(rho)^2] itself.
-    exact: exact value if supplied by the caller, else None.
-    consistent: chain ordering and bracketing checks when exact is given.
     """
 
     upper: float
@@ -195,11 +192,9 @@ class BoundReport:
     lower_gap_over_peak_population: float
     lower_gap_over_population_norm: float
     lower_gap: float
-    exact: float | None = None
-    consistent: bool | None = None
 
 
-def roc_bounds(rho, exact: float | None = None) -> BoundReport:
+def roc_bounds(rho) -> BoundReport:
     a = as_hermitian(rho)
     d = a.shape[0]
     l1 = l1_coherence(a)
@@ -208,25 +203,13 @@ def roc_bounds(rho, exact: float | None = None) -> BoundReport:
     gap = float(np.sum(np.abs(off) ** 2))  # = Tr[rho^2] - Tr[dephase(rho)^2]
     peak = float(np.max(pops))
     pop_norm = float(np.linalg.norm(pops))
-    report = BoundReport(
+    return BoundReport(
         upper=l1,
         lower_dim=l1 / (d - 1) if d > 1 else 0.0,
         lower_gap_over_peak_population=gap / peak if peak > 0 else 0.0,
         lower_gap_over_population_norm=gap / pop_norm if pop_norm > 0 else 0.0,
         lower_gap=gap,
-        exact=exact,
     )
-    if exact is not None:
-        chain = (
-            report.lower_gap_over_peak_population >= report.lower_gap_over_population_norm - 1e-12
-            and report.lower_gap_over_population_norm >= report.lower_gap - 1e-12
-        )
-        report.consistent = bool(
-            chain
-            and report.lower_dim - BOUNDS_SLACK <= exact <= report.upper + BOUNDS_SLACK
-            and exact >= report.lower_gap_over_peak_population - BOUNDS_SLACK
-        )
-    return report
 
 
 # -- strict l1 gap search ----------------------------------------------------------

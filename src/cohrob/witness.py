@@ -66,19 +66,27 @@ def validate_witness(witness) -> WitnessReport:
     )
 
 
-def witness_lower_bound(rho, witness, check: bool = True) -> float:
-    """Lower bound max(0, -Tr[rho W]) on the robustness of coherence of rho."""
+class InvalidWitnessError(ValueError):
+    """A witness fails validate_witness; carries the WitnessReport."""
+
+    def __init__(self, report: WitnessReport):
+        super().__init__(
+            f"invalid witness: smallest diagonal {report.diag_min:.3e}, "
+            f"eigenvalue excess {report.eig_excess:.3e}"
+        )
+        self.report = report
+
+
+def witness_lower_bound(rho, witness) -> float:
+    """Lower bound max(0, -Tr[rho W]) on the robustness of coherence of rho;
+    raises InvalidWitnessError unless W passes validate_witness."""
     rho = as_density(rho)
     w = as_hermitian(witness)
     if w.shape != rho.shape:
-        raise ValueError(f"dimension mismatch: state {rho.shape} vs witness {w.shape}")
-    if check:
-        report = validate_witness(w)
-        if not report.valid:
-            raise ValueError(
-                f"invalid witness: diag_min={report.diag_min:.3e}, "
-                f"eig_excess={report.eig_excess:.3e}"
-            )
+        raise ValueError(f"dimension mismatch: state {rho.shape[0]} vs witness {w.shape[0]}")
+    report = validate_witness(w)
+    if not report.valid:
+        raise InvalidWitnessError(report)
     return max(0.0, -float(np.trace(rho @ w).real))
 
 

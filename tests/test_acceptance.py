@@ -127,7 +127,7 @@ def test_criterion_05_bound_chain():
         l1 = l1_coherence(rho)
         worst_low = max(worst_low, l1 / (d - 1) - cert.value)
         worst_high = max(worst_high, cert.value - l1)
-        rep = roc_bounds(rho, exact=cert.value)
+        rep = roc_bounds(rho)
         f1 = rep.lower_gap_over_peak_population
         f2 = rep.lower_gap_over_population_norm
         f3 = rep.lower_gap

@@ -66,6 +66,7 @@ KNOWN_FAILING = {
     101: ["r8/consistent/d2"],
     103: ["r15/consistent/d3"],
     319: ["r4/consistent/d2"],
+    338: ["r0/consistent/d4", "r0/consistent/d5"],
 }
 
 

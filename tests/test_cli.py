@@ -174,13 +174,14 @@ def test_witness_bound_invalid_witness_exit_three(tmp_path, capsys):
     state = write_json(tmp_path / "plus.json", matrix_to_json(maximally_coherent_state(2)))
     witness = write_json(tmp_path / "w.json", matrix_to_json(2.0 * np.eye(2)))
     assert cli.main(["witness-bound", state, witness]) == 3
-    assert "invalid witness" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "invalid witness: smallest diagonal 2.000e+00, eigenvalue excess 1.000e+00\n")
 
 
 def test_witness_bound_dimension_mismatch_exit_one(tmp_path, capsys, diag_state):
     witness = write_json(tmp_path / "w2.json", matrix_to_json(np.zeros((2, 2))))
     assert cli.main(["witness-bound", diag_state, witness]) == 1
-    assert "dimension mismatch" in capsys.readouterr().err
+    assert capsys.readouterr().err == "dimension mismatch: state 3 vs witness 2\n"
 
 
 # -- data programs --------------------------------------------------------------------------
@@ -237,7 +238,7 @@ def test_game_payload(tmp_path, capsys):
 def test_game_dimension_mismatch(tmp_path, capsys, diag_state):
     game_path = write_json(tmp_path / "game.json", game_to_json(canonical_game(2)))
     assert cli.main(["game", game_path, diag_state]) == 1
-    assert "dimension mismatch" in capsys.readouterr().err
+    assert capsys.readouterr().err == "dimension mismatch: game 2 vs state 3\n"
 
 
 # -- verify-teo --------------------------------------------------------------------------------
@@ -307,6 +308,16 @@ def test_audit_small_run_passes(capsys):
     assert payload["passed"] is True
     assert payload["dim"] == 2
     assert all(chk["passed"] for chk in payload["checks"])
+
+
+def test_audit_reports_an_invalid_witness_as_a_failed_check(capsys, monkeypatch):
+    import cohrob.audit
+
+    monkeypatch.setattr(cohrob.audit, "population_gap_witness", lambda rho: 2.0 * np.eye(2))
+    assert cli.main(["audit", "--dim", "2", "--samples", "2", "--seed", "0"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    failed = [chk["name"] for chk in payload["checks"] if not chk["passed"]]
+    assert payload["passed"] is False and failed == ["population_gap_witness"]
 
 
 # -- tolerance flag -------------------------------------------------------------------------------

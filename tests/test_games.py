@@ -144,8 +144,11 @@ def test_canonical_game_reads_off_robustness_qubit(seed):
 
 
 def test_success_probability_rejects_dimension_mismatch():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="dimension mismatch: game 3 vs state 2"):
         success_probability(canonical_game(3), np.eye(2) / 2)
+    channel = random_channel_game(3, outcomes=2, seed=1)
+    with pytest.raises(ValueError, match="dimension mismatch: game 3 vs state 2"):
+        success_probability(channel, np.eye(2) / 2)
 
 
 def test_refinement_with_zero_prior_outcome():

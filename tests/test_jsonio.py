@@ -1,6 +1,10 @@
 """JSON wire formats: roundtrips and line-precise error reporting."""
+import json
+
 import numpy as np
 import pytest
+
+import cohrob.cli as cli
 
 from cohrob.games import ChannelGame, PhaseGame, canonical_game, random_channel_game
 from cohrob.jsonio import (
@@ -39,8 +43,6 @@ def test_load_json_file_reports_line_and_column(tmp_path):
 def test_load_json_file_roundtrip(tmp_path):
     path = tmp_path / "m.json"
     obj = matrix_to_json(random_state(3, seed=1))
-    import json
-
     path.write_text(json.dumps(obj))
     again = load_json_file(str(path))
     assert np.max(np.abs(matrix_from_json(again) - matrix_from_json(obj))) == 0.0
@@ -99,9 +101,6 @@ def test_bounds_serialization():
         "lower_gap_over_population_norm",
         "lower_gap",
     }
-    tagged = bounds_to_json(roc_bounds(rho, exact=roc_exact(rho).value))
-    assert tagged["consistent"] is True
-    assert tagged["exact"] >= tagged["lower_dim"] - 1e-7
 
 
 # -- datasets ----------------------------------------------------------------------
@@ -173,6 +172,43 @@ def test_game_errors():
         game_from_json(
             {"dim": 2, "type": "channel", "entries": [{"prior": 1.0, "kraus": []}]}
         )
+
+
+# -- one reader per kind of field ---------------------------------------------------
+
+QUBIT = matrix_to_json(np.eye(2) / 2)
+PHASE_ENTRY = {"prior": 1.0, "phase": 0.0}
+DATASET = {"dim": 2, "observables": [matrix_to_json(np.eye(2))], "expectations": [1.0]}
+
+
+@pytest.mark.parametrize("command, obj, field, message", [
+    ("game", {"dim": 2.7, "type": "phase", "entries": [PHASE_ENTRY]},
+     ".dim", "must be a positive integer, got 2.7"),
+    ("game", {"dim": 2, "type": "phase", "entries": [{"prior": True, "phase": "0"}]},
+     ".entries[0].prior", "not a finite number: True"),
+    ("game", {"dim": 2, "type": "phase", "entries": [{"prior": 1.0, "phase": "0"}]},
+     ".entries[0].phase", "not a finite number: '0'"),
+    ("min-roc-from-data", dict(DATASET, expectations=["0.5"]),
+     ".expectations[0]", "not a finite number: '0.5'"),
+    ("min-roc-from-data", dict(DATASET, dim="2"),
+     ".dim", "must be a positive integer, got '2'"),
+    ("roc", dict(QUBIT, dim=True), ".dim", "must be a positive integer, got True"),
+])
+def test_malformed_field_exits_one_with_its_path(tmp_path, capsys, command, obj, field,
+                                                 message):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(obj))
+    state = tmp_path / "state.json"
+    state.write_text(json.dumps(QUBIT))
+    argv = [command, str(path)] + ([str(state)] if command == "game" else [])
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert f"{path}{field}" in err and message in err
+
+
+def test_number_reader_refuses_integers_beyond_the_float_range():
+    with pytest.raises(InputFormatError, match=r"expectations\[0\]: not a finite number"):
+        dataset_from_json(dict(DATASET, expectations=[10 ** 400]))
 
 
 # -- fixtures ----------------------------------------------------------------------

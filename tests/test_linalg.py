@@ -248,6 +248,7 @@ def test_eigensolver_on_a_stack_decomposes_each_matrix():
     for idx in np.ndindex(2, 3):
         w1, u1 = jacobi_eigh(g[idx])
         assert np.array_equal(w[idx], w1) and np.array_equal(u[idx], u1)
+        assert np.array_equal(jacobi_eigvalsh(g)[idx], jacobi_eigvalsh(g[idx]))
 
 
 # -- swap operator and purity check -------------------------------------------------

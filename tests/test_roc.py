@@ -199,12 +199,20 @@ def matrix_from_json_fixture_state():
 # -- bound chain ------------------------------------------------------------------------
 
 
+def assert_bracketed(rep, value):
+    """The chain is ordered to 1e-12 and brackets value to 1e-7."""
+    assert rep.lower_gap_over_peak_population >= rep.lower_gap_over_population_norm - 1e-12
+    assert rep.lower_gap_over_population_norm >= rep.lower_gap - 1e-12
+    assert rep.lower_dim - 1e-7 <= value <= rep.upper + 1e-7
+    assert value >= rep.lower_gap_over_peak_population - 1e-7
+
+
 def test_bounds_pure_state_upper_tight():
     rho = density_of(random_pure(4, seed=6))
     cert = roc_exact(rho)
-    rep = roc_bounds(rho, exact=cert.value)
+    rep = roc_bounds(rho)
     assert abs(rep.upper - cert.value) < 1e-6
-    assert rep.consistent
+    assert_bracketed(rep, cert.value)
 
 
 def test_bounds_minimal_mixture_lower_tight():
@@ -212,19 +220,19 @@ def test_bounds_minimal_mixture_lower_tight():
         p = 0.2 if d > 3 else 0.3
         rho = minimal_roc_mixture(d, p)
         cert = roc_exact(rho)
-        rep = roc_bounds(rho, exact=cert.value)
+        rep = roc_bounds(rho)
         assert abs(rep.lower_dim - cert.value) < 1e-6
-        assert rep.consistent
+        assert_bracketed(rep, cert.value)
 
 
 def test_bounds_diagonal_all_zero():
-    rep = roc_bounds(np.diag([0.5, 0.25, 0.25]), exact=0.0)
+    rep = roc_bounds(np.diag([0.5, 0.25, 0.25]))
     assert rep.upper == 0.0
     assert rep.lower_dim == 0.0
     assert rep.lower_gap == 0.0
     assert rep.lower_gap_over_peak_population == 0.0
     assert rep.lower_gap_over_population_norm == 0.0
-    assert rep.consistent
+    assert_bracketed(rep, 0.0)
 
 
 @given(st.integers(2, 6), st.integers(0, 10 ** 6))
@@ -232,12 +240,11 @@ def test_bounds_diagonal_all_zero():
 def test_bound_chain_random_states(d, seed):
     rho = random_state(d, seed=seed)
     cert = roc_exact(rho)
-    rep = roc_bounds(rho, exact=cert.value)
+    rep = roc_bounds(rho)
     assert rep.lower_dim - 1e-7 <= cert.value <= rep.upper + 1e-7
     assert cert.value >= rep.lower_gap_over_peak_population - 1e-9
     assert rep.lower_gap_over_peak_population >= rep.lower_gap_over_population_norm - 1e-12
     assert rep.lower_gap_over_population_norm >= rep.lower_gap - 1e-12
-    assert rep.consistent
 
 
 # -- faithfulness and free-operation invariance ------------------------------------------

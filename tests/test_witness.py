@@ -19,6 +19,7 @@ from cohrob.linalg import (
 from cohrob.roc import roc_exact
 from cohrob.witness import (
     InfeasibleDataError,
+    InvalidWitnessError,
     WitnessDataset,
     best_witness_from_data,
     min_roc_from_data,
@@ -86,10 +87,12 @@ def test_population_gap_witness_formula():
 
 
 def test_bound_rejects_dimension_mismatch_and_invalid_witness():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="dimension mismatch: state 3 vs witness 2"):
         witness_lower_bound(np.eye(3) / 3, np.zeros((2, 2)))
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidWitnessError, match="invalid witness: smallest diagonal") as exc:
         witness_lower_bound(np.eye(2) / 2, 2.0 * np.eye(2))
+    assert exc.value.report == validate_witness(2.0 * np.eye(2))
+    assert isinstance(exc.value, ValueError)
 
 
 @given(st.integers(2, 5), st.integers(0, 10 ** 6))
