@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 import cohrob.cli as cli
-
 from cohrob.games import ChannelGame, PhaseGame, canonical_game, random_channel_game
 from cohrob.jsonio import (
     InputFormatError,
