@@ -23,53 +23,6 @@ from cohrob.oracle import roc_descent_oracle  # noqa: E402
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "tests" / "fixtures"
 
 
-def _entropy_bits(eigenvalues) -> float:
-    total = 0.0
-    for lam in eigenvalues:
-        if lam > 1e-15:
-            total -= float(lam) * float(np.log2(lam))
-    return total
-
-
-def rel_entropy_fixture(seed: int = 101) -> dict:
-    """Relative entropy of coherence of a random qutrit, via LAPACK spectra."""
-    rho = random_state(3, seed=seed)
-    s_state = _entropy_bits(np.linalg.eigvalsh(rho))
-    s_dephased = _entropy_bits(np.sort(np.diag(rho).real))
-    return fixture_to_json(
-        oracle="lapack_eigvalsh_entropy",
-        seed=seed,
-        input_obj=matrix_to_json(rho),
-        value=s_dephased - s_state,
-        tol=1e-10,
-    )
-
-
-def swap_purity_fixture(seed: int = 202) -> dict:
-    """Both swap-contraction purities of a random d=4 state by explicit
-    Kronecker products: Tr[(rho x rho) V] and the dephased analogue."""
-    d = 4
-    rho = random_state(d, seed=seed)
-    swap = np.zeros((d * d, d * d))
-    for i in range(d):
-        for j in range(d):
-            swap[i * d + j, j * d + i] = 1.0
-    pair = np.kron(rho, rho)
-    dephased = np.diag(np.diag(rho))
-    dephased_pair = np.kron(dephased, dephased)
-    value = [
-        float(np.trace(pair @ swap).real),
-        float(np.trace(dephased_pair @ swap).real),
-    ]
-    return fixture_to_json(
-        oracle="kronecker_swap_contraction",
-        seed=seed,
-        input_obj=matrix_to_json(rho),
-        value=value,
-        tol=1e-10,
-    )
-
-
 def realify_spectrum_fixture(seed: int = 303) -> dict:
     """Spectrum of a random 3x3 Hermitian via LAPACK; the real embedding
     must reproduce it with multiplicity two."""
@@ -167,8 +120,6 @@ def gap_state_fixture() -> dict:
 def main() -> None:
     FIXTURES.mkdir(parents=True, exist_ok=True)
     files = {
-        "rel_entropy_d3.json": rel_entropy_fixture(),
-        "swap_purity_d4.json": swap_purity_fixture(),
         "realify_spectrum_d3.json": realify_spectrum_fixture(),
         "descent_roc_qutrits.json": descent_roc_fixtures(),
         "witness_grid_x.json": witness_grid_fixture(),

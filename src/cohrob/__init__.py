@@ -8,45 +8,33 @@ bound chains, device-data estimates and phase-discrimination games.
 from .linalg import (
     as_density,
     as_hermitian,
-    as_pure,
     basis_projector,
     density_of,
     dephase,
     jacobi_eigh,
     jacobi_eigvalsh,
     l1_coherence,
-    matrix_norms,
     maximally_coherent_state,
     minimal_roc_mixture,
-    purity,
     random_pure,
     random_state,
     random_unitary,
-    relative_entropy_coherence,
-    swap_purity_check,
-    von_neumann_entropy,
 )
 
 __all__ = [
     "as_density",
     "as_hermitian",
-    "as_pure",
     "basis_projector",
     "density_of",
     "dephase",
     "jacobi_eigh",
     "jacobi_eigvalsh",
     "l1_coherence",
-    "matrix_norms",
     "maximally_coherent_state",
     "minimal_roc_mixture",
-    "purity",
     "random_pure",
     "random_state",
     "random_unitary",
-    "relative_entropy_coherence",
-    "swap_purity_check",
-    "von_neumann_entropy",
 ]
 
 __version__ = "0.1.0"

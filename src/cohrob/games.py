@@ -69,8 +69,24 @@ def _probe(game, rho) -> np.ndarray:
     return rho
 
 
+class _Game:
+    """The priors, and states that validate the probe once for _images."""
+
+    @property
+    def priors(self) -> np.ndarray:
+        return np.array([p for p, _ in self.entries])
+
+    def states(self, rho) -> list:
+        return self._images(_probe(self, rho))
+
+
+def _weighted(game, rho) -> list:
+    """The weighted states p_k rho_k of an already validated probe rho."""
+    return [p * s for p, s in zip(game.priors, game._images(rho))]
+
+
 @dataclass(frozen=True)
-class PhaseGame:
+class PhaseGame(_Game):
     """Ensemble of phase unitaries: entries (prior, phase) on dimension dim."""
 
     dim: int
@@ -95,12 +111,7 @@ class PhaseGame:
                     )
         return PhaseGame(dim=int(dim), entries=tuple(zip(priors, phases)))
 
-    @property
-    def priors(self) -> np.ndarray:
-        return np.array([p for p, _ in self.entries])
-
-    def states(self, rho) -> list:
-        rho = _probe(self, rho)
+    def _images(self, rho) -> list:
         out = []
         for _, phi in self.entries:
             u = phase_channel(self.dim, phi)
@@ -109,7 +120,7 @@ class PhaseGame:
 
 
 @dataclass(frozen=True)
-class ChannelGame:
+class ChannelGame(_Game):
     """Ensemble of trace-preserving channels given by Kraus lists."""
 
     dim: int
@@ -137,12 +148,7 @@ class ChannelGame:
             channels.append(ops)
         return ChannelGame(dim=int(dim), entries=tuple(zip(priors, channels)))
 
-    @property
-    def priors(self) -> np.ndarray:
-        return np.array([p for p, _ in self.entries])
-
-    def states(self, rho) -> list:
-        rho = _probe(self, rho)
+    def _images(self, rho) -> list:
         out = []
         for _, kraus in self.entries:
             out.append(as_hermitian(sum(k @ rho @ k.conj().T for k in kraus)))
@@ -312,14 +318,19 @@ def success_probability(game, rho, tol: float = 1e-8):
     outside the engine by the same certificate (see
     check_measurement_certificate): the POVM is valid, Q dominates every
     weighted state, and the value of the returned POVM and Tr Q agree
-    within 1e-7.
+    within 1e-7.  rho is validated once, and that matrix feeds every route.
     """
-    states = game.states(rho)
-    weighted = [p * s for p, s in zip(game.priors, states)]
+    rho = _probe(game, rho)
+    return _certified(game, rho, _weighted(game, rho), tol)
+
+
+def _certified(game, rho, weighted, tol: float):
+    """success_probability's route and check, for a validated probe rho and
+    its weighted states."""
     if len(weighted) == 2:
         povm, majorant = _helstrom_measurement(weighted)
     elif _is_canonical(game):
-        povm, majorant = _canonical_measurement(game, as_density(rho), tol)
+        povm, majorant = _canonical_measurement(game, rho, tol)
     else:
         povm, majorant = _optimal_measurement(weighted, tol)
     return check_measurement_certificate(weighted, povm, majorant), povm
@@ -334,21 +345,22 @@ def incoherent_baseline(game, tol: float = 1e-8) -> float:
     a basis projector.  The d basis probes are searched by branch and bound:
     each gets the certified upper bound of _majorant_bound, and they are
     visited in descending bound order (ties by index) through
-    success_probability until the next bound is at most the best value
-    minus CROSS_CHECK_TOL.  A skipped probe's checked value could exceed its
+    success_probability's route and check, on the weighted states the bound
+    was built from, until the next bound is at most the best value minus
+    CROSS_CHECK_TOL.  A skipped probe's checked value could exceed its
     bound only by the certificate's 1e-9 tolerances, so it stays below the
     best, and the returned float is the maximum over all d probes.
     """
     if isinstance(game, PhaseGame):
         return float(np.max(game.priors))
     probes = [basis_projector(game.dim, j) for j in range(game.dim)]
-    bounds = _majorant_bound([[p * s for p, s in zip(game.priors, game.states(probe))]
-                              for probe in probes])
+    weighted = [_weighted(game, probe) for probe in probes]  # states by construction
+    bounds = _majorant_bound(weighted)
     best = 0.0
     for j in sorted(range(game.dim), key=lambda j: (-bounds[j], j)):
         if bounds[j] <= best - CROSS_CHECK_TOL:
             break
-        value, _ = success_probability(game, probes[j], tol=tol)
+        value, _ = _certified(game, probes[j], weighted[j], tol)
         best = max(best, value)
     return best
 

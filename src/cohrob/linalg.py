@@ -1,15 +1,13 @@
 """Dense complex Hermitian matrix tools.
 
-Validating constructors, the dephasing map, coherence norms, spectral
-routines and seeded random generation.  Matrices are numpy complex128
+Validating constructors, the dephasing map, the l1 coherence, the
+eigensolver and seeded random generation.  Matrices are numpy complex128
 arrays throughout; constructors return fresh arrays and never mutate
 their input.  Every spectrum in the package (density validation,
-entropies, norms, certificate and witness checks) goes through numpy's
-LAPACK eigensolver via `jacobi_eigh` / `jacobi_eigvalsh`.
+certificate and witness checks) goes through numpy's LAPACK eigensolver
+via `jacobi_eigh` / `jacobi_eigvalsh`.
 """
 from __future__ import annotations
-
-from typing import NamedTuple
 
 import numpy as np
 
@@ -60,23 +58,16 @@ def as_density(m) -> np.ndarray:
     return a
 
 
-def as_pure(vec) -> np.ndarray:
-    """Validate a pure-state amplitude vector (unit norm within 1e-12)."""
-    arr = np.array(vec, dtype=np.complex128)
-    if arr.ndim != 1:
-        raise ValueError(f"amplitude vector must be one-dimensional, got shape {arr.shape}")
-    v = arr.reshape(-1)
+def density_of(vec) -> np.ndarray:
+    """Rank-one projector |v><v| of a unit amplitude vector (norm 1 within 1e-12)."""
+    v = np.array(vec, dtype=np.complex128)
+    if v.ndim != 1:
+        raise ValueError(f"amplitude vector must be one-dimensional, got shape {v.shape}")
     if v.size == 0 or not np.all(np.isfinite(v.real) & np.isfinite(v.imag)):
         raise ValueError("invalid amplitude vector")
     n2 = float(np.vdot(v, v).real)
     if abs(n2 - 1.0) > 1e-12:
         raise ValueError(f"squared norm {n2!r} is not 1 within 1e-12")
-    return v.copy()
-
-
-def density_of(vec) -> np.ndarray:
-    """Rank-one projector |v><v| of a unit vector."""
-    v = as_pure(vec)
     return np.outer(v, v.conj())
 
 
@@ -86,57 +77,11 @@ def dephase(m) -> np.ndarray:
     return np.diag(np.diag(a))
 
 
-def is_diagonal(m, tol: float = 1e-12) -> bool:
-    a = np.asarray(m)
-    off = a - np.diag(np.diag(a))
-    return bool(np.max(np.abs(off)) <= tol) if a.size else True
-
-
 def l1_coherence(rho) -> float:
     """Sum of off-diagonal entry moduli (exactly zero for diagonal input)."""
     a = np.asarray(rho, dtype=np.complex128)
     off = a - np.diag(np.diag(a))
     return float(np.sum(np.abs(off)))
-
-
-def purity(rho) -> float:
-    a = np.asarray(rho)
-    return float(np.trace(a @ a).real)
-
-
-def shannon_entropy(p) -> float:
-    """Base-2 entropy of a nonnegative vector; zero entries contribute zero."""
-    q = np.clip(np.asarray(p, dtype=float), 0.0, None)
-    q = q[q > 1e-15]
-    return float(-np.sum(q * np.log2(q)))
-
-
-def von_neumann_entropy(rho) -> float:
-    """Base-2 entropy of the spectrum."""
-    return shannon_entropy(jacobi_eigvalsh(np.asarray(rho, dtype=np.complex128)))
-
-
-def relative_entropy_coherence(rho) -> float:
-    """Entropy of the dephased state minus entropy of the state (base 2)."""
-    a = np.asarray(rho, dtype=np.complex128)
-    return shannon_entropy(np.diag(a).real) - von_neumann_entropy(a)
-
-
-class Norms(NamedTuple):
-    two_norm: float
-    op_norm: float
-    max_abs: float
-
-
-def matrix_norms(m) -> Norms:
-    """Frobenius norm, operator norm (largest |eigenvalue|) and entry max-norm."""
-    a = as_hermitian(m, tol=np.inf)  # symmetrize; callers pass Hermitian data
-    w = jacobi_eigvalsh(a)
-    return Norms(
-        two_norm=float(np.linalg.norm(a)),
-        op_norm=float(np.max(np.abs(w))) if w.size else 0.0,
-        max_abs=float(np.max(np.abs(a))) if a.size else 0.0,
-    )
 
 
 # -- spectral routine ---------------------------------------------------------
@@ -159,47 +104,6 @@ def jacobi_eigvalsh(m) -> np.ndarray:
     matrix or of each matrix in a stack shaped (..., n, n)."""
     a = np.asarray(m, dtype=np.complex128)
     return np.linalg.eigvalsh(0.5 * (a + a.conj().swapaxes(-1, -2)))
-
-
-# -- swap-operator purity identities -----------------------------------------
-
-SWAP_DIM_LIMIT = 4096  # composite dimension d*d
-
-
-def swap_operator(d: int) -> np.ndarray:
-    """Exchange operator on the d*d composite space."""
-    if d * d > SWAP_DIM_LIMIT:
-        raise ValueError(f"composite dimension {d * d} exceeds {SWAP_DIM_LIMIT}")
-    v = np.zeros((d * d, d * d), dtype=np.complex128)
-    for i in range(d):
-        for j in range(d):
-            v[i * d + j, j * d + i] = 1.0
-    return v
-
-
-class SwapPurityCheck(NamedTuple):
-    purity_pair: tuple[float, float]
-    dephased_pair: tuple[float, float]
-
-
-def swap_purity_check(rho) -> SwapPurityCheck:
-    """Purity and dephased purity computed two ways.
-
-    First entry of each pair contracts rho x rho against the exchange
-    operator (dephased entrywise for the second pair); the second entry is
-    the direct trace of the squared matrix.  The pairs agree to 1e-10 for
-    valid states.
-    """
-    a = np.asarray(rho, dtype=np.complex128)
-    d = a.shape[0]
-    v = swap_operator(d)
-    rr = np.kron(a, a)
-    lhs = float(np.trace(rr @ v).real)
-    rhs = float(np.trace(a @ a).real)
-    v_deph = dephase(v)
-    lhs_d = float(np.trace(rr @ v_deph).real)
-    rhs_d = float(np.sum(np.diag(a).real ** 2))
-    return SwapPurityCheck((lhs, rhs), (lhs_d, rhs_d))
 
 
 # -- seeded random generation -------------------------------------------------

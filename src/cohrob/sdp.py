@@ -442,6 +442,9 @@ def solve(problem: ConicProblem, *, tol: float = 1e-8, max_iter: int = 200,
     start is an optional strictly interior point (x blocks, y, s blocks) in
     the complex convention; identity / zero when None.  A feasible start keeps
     every iterate feasible, so weak duality holds along the whole path.
+    A solve that does not reach OPTIMAL returns, with its status and
+    iteration count, the iterate whose largest stopping residual was
+    smallest, and that iterate's values; callers check it themselves.
     """
     m = problem.rhs.size
     rows = _UnitDiagonalRows(problem) if problem.unit_diagonal else _StackedRows(problem)
@@ -479,6 +482,9 @@ def solve(problem: ConicProblem, *, tol: float = 1e-8, max_iter: int = 200,
         rd_rel = np.sqrt(sum(_inners(rd, rd) + [_inner(v, v) for v in rdn])) / (1.0 + cnorm)
         compl_rel = half * compl / (1.0 + abs(p_ext))
         history.append({"iteration": it, "primal": p_ext, "dual": d_ext, "gap": gap_rel})
+        worst = max(rp_rel, rd_rel, gap_rel, compl_rel)
+        if it == 0 or worst < best[0]:
+            best = (worst, x, xn, s, sn, y, p_ext, d_ext, gap_rel)
 
         # every exit breaks here or below, before the update: the returned
         # iterate is the one these values were computed from
@@ -570,6 +576,8 @@ def solve(problem: ConicProblem, *, tol: float = 1e-8, max_iter: int = 200,
         sn = [v + ad * dv for v, dv in zip(sn, dsn)]
         y = y + ad * dy
 
+    if status is not SolveStatus.OPTIMAL:
+        _, x, xn, s, sn, y, p_ext, d_ext, gap_rel = best
     x_out, s_out = rows.leave(x, xn, s, sn)
     return ConicSolution(
         status=status,

@@ -235,9 +235,19 @@ class DataRocResult:
     deviation: float
 
 
+def _deviation(data: WitnessDataset, slack: np.ndarray, rho: np.ndarray) -> float:
+    """max_i (|Tr[O_i rho] - o_i| - slack_i), computed outside the solver."""
+    return max(abs(float(np.trace(o @ rho).real) - e) - s
+               for o, e, s in zip(data.observables, data.expectations, slack))
+
+
 def _phase1_deviation(data: WitnessDataset, slack: np.ndarray, tol: float) -> tuple:
     """Smallest worst-case |Tr[O_i rho'] - o_i| - slack_i over states rho',
-    and a state that attains it."""
+    and a state that attains it.
+
+    A solve that stalls answers from its best iterate: the PSD part of its
+    state, scaled to trace 1, is accepted when _deviation puts it within
+    FEASIBILITY_TOL of the data, and that deviation is reported."""
     d, k = data.dim, len(data.observables)
     m = 2 * k + 1
     psd_stack = np.zeros((m, d, d), dtype=np.complex128)
@@ -276,8 +286,16 @@ def _phase1_deviation(data: WitnessDataset, slack: np.ndarray, tol: float) -> tu
         [np.eye(d, dtype=np.complex128), eps * np.ones(k), eps * np.ones(k),
          np.array([1.0 - 2 * k * eps])],
     )
-    sol = sdp.solve_or_raise(problem, tol=tol, start=start)
-    return max(0.0, float(sol.primal_value)), sol.x[0]
+    sol = sdp.solve(problem, tol=tol, start=start)
+    if sol.status is sdp.SolveStatus.OPTIMAL:
+        return max(0.0, float(sol.primal_value)), sol.x[0]
+    w, v = jacobi_eigh(sol.x[0])
+    rho = (v * np.maximum(w, 0.0)) @ v.conj().T
+    rho /= np.trace(rho).real
+    deviation = _deviation(data, slack, rho)
+    if not deviation <= FEASIBILITY_TOL:
+        raise sdp.SolverError(f"solve ended with status {sol.status.value}")
+    return max(0.0, deviation), rho
 
 
 def _pinned_state(data: WitnessDataset, slack: np.ndarray, state: np.ndarray):
@@ -291,11 +309,8 @@ def _pinned_state(data: WitnessDataset, slack: np.ndarray, state: np.ndarray):
     lam, vecs = jacobi_eigh(state)
     if lam.size < 2 or lam[-2] > FEASIBILITY_TOL:
         return None
-    v = vecs[:, -1]
-    for obs, o_val, s in zip(data.observables, data.expectations, slack):
-        if abs(float(np.vdot(v, obs @ v).real) - o_val) > FEASIBILITY_TOL + s:
-            return None
-    return np.outer(v, v.conj())
+    pure = np.outer(vecs[:, -1], vecs[:, -1].conj())
+    return pure if _deviation(data, slack, pure) <= FEASIBILITY_TOL else None
 
 
 def min_roc_from_data(data: WitnessDataset, slack=0.0, tol: float = 1e-8) -> DataRocResult:

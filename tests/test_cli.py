@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import cohrob.cli as cli
+from cohrob import sdp
 from cohrob.games import TheoremReport, canonical_game
 from cohrob.jsonio import dataset_to_json, game_to_json, matrix_to_json
 from cohrob.linalg import maximally_coherent_state, random_state
@@ -96,11 +97,27 @@ def test_linalg_error_is_a_solver_failure_not_bad_input(monkeypatch, capsys, max
     assert "solver failure: Eigenvalues did not converge" in capsys.readouterr().err
 
 
-def test_min_roc_overflow_exit_two(capsys):
-    path = os.path.join(os.path.dirname(__file__), "fixtures", "thin_slack_overflow_d2.json")
+OVERFLOW_FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures",
+                                "thin_slack_overflow_d2.json")
+
+
+def test_min_roc_overflow_exit_two(monkeypatch, capsys):
+    # phase 1 overflows on this fixture and is answered from its best iterate;
+    # a phase 1 whose best iterate misses the data still exits 2
+    real_solve = sdp.solve
+
+    def stalled(problem, **options):
+        return real_solve(problem, **{**options, "max_iter": 0})
+
+    monkeypatch.setattr(sdp, "solve", stalled)
+    assert cli.main(["min-roc-from-data", OVERFLOW_FIXTURE, "--slack", "1e-7"]) == 2
+    assert "solver failure: solve ended with status max_iter" in capsys.readouterr().err
+
+
+def test_min_roc_overflow_is_answered(capsys):
     with np.errstate(over="ignore", invalid="ignore"):
-        assert cli.main(["min-roc-from-data", path, "--slack", "1e-7"]) == 2
-    assert "solver failure" in capsys.readouterr().err
+        assert cli.main(["min-roc-from-data", OVERFLOW_FIXTURE, "--slack", "1e-7"]) == 0
+    assert capsys.readouterr().out == "min_roc 0.406050\n"
 
 
 # -- malformed input ------------------------------------------------------------------

@@ -1,33 +1,23 @@
-"""Hermitian-core: dephasing, coherence norms, entropies, eigensolver, swap trick."""
+"""Hermitian-core: validation, dephasing, l1 coherence, eigensolver, generators."""
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cohrob.jsonio import matrix_from_json
 from cohrob.linalg import (
     as_density,
     as_hermitian,
-    as_pure,
     basis_projector,
     dephase,
     density_of,
-    is_diagonal,
     jacobi_eigh,
     jacobi_eigvalsh,
     l1_coherence,
-    matrix_norms,
     maximally_coherent_state,
     minimal_roc_mixture,
-    purity,
     random_pure,
     random_state,
     random_unitary,
-    relative_entropy_coherence,
-    shannon_entropy,
-    swap_operator,
-    swap_purity_check,
-    von_neumann_entropy,
 )
 
 # -- construction and validation ---------------------------------------------------
@@ -77,13 +67,14 @@ def test_as_density_returns_valid_rank_one_input_bit_for_bit(rho):
     assert as_density(rho).tobytes() == as_hermitian(rho).tobytes()
 
 
-def test_as_pure_normalization_and_shape():
-    v = as_pure(np.array([1.0, 1.0j]) / np.sqrt(2.0))
-    assert abs(np.vdot(v, v) - 1) < 1e-12
+def test_density_of_normalization_and_shape():
+    rho = density_of(np.array([1.0, 1.0j]) / np.sqrt(2.0))
+    assert abs(np.trace(rho) - 1) < 1e-12
+    assert np.array_equal(rho, rho.conj().T)
     with pytest.raises(ValueError):
-        as_pure([0.9, 0.0])  # not normalized
+        density_of([0.9, 0.0])  # not normalized
     with pytest.raises(ValueError):
-        as_pure(np.ones((2, 2)) / 2)  # not one-dimensional
+        density_of(np.ones((2, 2)) / 2)  # not one-dimensional
 
 
 # -- dephasing ---------------------------------------------------------------------
@@ -133,61 +124,11 @@ def test_l1_minimal_mixture_d4():
 @given(st.integers(2, 6), st.integers(0, 10 ** 6))
 def test_l1_zero_iff_diagonal(d, seed):
     rho = random_state(d, seed=seed)
-    if is_diagonal(rho, tol=1e-12):
+    if np.max(np.abs(rho - dephase(rho))) <= 1e-12:
         assert l1_coherence(rho) <= 1e-12
     else:
         assert l1_coherence(rho) > 0.0
     assert l1_coherence(dephase(rho)) == 0.0
-
-
-# -- entropies ---------------------------------------------------------------------
-
-
-def test_relative_entropy_diagonal_zero():
-    assert abs(relative_entropy_coherence(np.diag([0.4, 0.6]))) < 1e-12
-
-
-def test_relative_entropy_maximally_coherent_qubit():
-    assert abs(relative_entropy_coherence(maximally_coherent_state(2)) - 1.0) < 1e-10
-
-
-def test_relative_entropy_matches_frozen_value(load_fixture):
-    fix = load_fixture("rel_entropy_d3.json")
-    rho = matrix_from_json(fix["input"])
-    assert abs(relative_entropy_coherence(rho) - fix["value"]) < fix["tol"]
-
-
-def test_shannon_entropy_conventions():
-    assert shannon_entropy([1.0, 0.0]) == 0.0
-    assert abs(shannon_entropy([0.5, 0.5]) - 1.0) < 1e-12
-
-
-def test_von_neumann_entropy_pure_and_mixed():
-    assert abs(von_neumann_entropy(maximally_coherent_state(4))) < 1e-10
-    assert abs(von_neumann_entropy(np.eye(4) / 4) - 2.0) < 1e-12
-
-
-# -- norms -------------------------------------------------------------------------
-
-
-def test_norms_identity_d4():
-    n = matrix_norms(np.eye(4))
-    assert (n.two_norm, n.op_norm, n.max_abs) == (2.0, 1.0, 1.0)
-
-
-def test_norms_diag_example():
-    n = matrix_norms(np.diag([3.0, -5.0]))
-    assert abs(n.two_norm - np.sqrt(34.0)) < 1e-12
-    assert n.op_norm == 5.0
-    assert n.max_abs == 5.0
-
-
-@given(st.integers(2, 8), st.integers(0, 10 ** 6))
-def test_norm_inequalities(d, seed):
-    m = as_hermitian(random_state(d, seed=seed) - np.eye(d) / d)
-    n = matrix_norms(m)
-    assert n.op_norm <= n.two_norm + 1e-12
-    assert n.two_norm <= np.sqrt(d) * n.op_norm + 1e-12
 
 
 # -- purity-gap identity -----------------------------------------------------------
@@ -199,8 +140,8 @@ def test_norm_inequalities(d, seed):
 def test_purity_gap_identity(d, seed):
     rho = random_state(d, seed=seed)
     delta = dephase(rho)
-    lhs = matrix_norms(rho - delta).two_norm ** 2
-    rhs = purity(rho) - purity(delta)
+    lhs = np.linalg.norm(rho - delta) ** 2
+    rhs = np.trace(rho @ rho).real - np.trace(delta @ delta).real
     assert abs(lhs - rhs) < 1e-12
 
 
@@ -251,51 +192,12 @@ def test_eigensolver_on_a_stack_decomposes_each_matrix():
         assert np.array_equal(jacobi_eigvalsh(g)[idx], jacobi_eigvalsh(g[idx]))
 
 
-# -- swap operator and purity check -------------------------------------------------
-
-
-def test_swap_operator_swaps_product_vectors():
-    v = swap_operator(3)
-    a = random_pure(3, seed=1)
-    b = random_pure(3, seed=2)
-    assert np.max(np.abs(v @ np.kron(a, b) - np.kron(b, a))) < 1e-12
-
-
-def test_swap_purity_pure_state():
-    rho = density_of(random_pure(3, seed=5))
-    chk = swap_purity_check(rho)
-    assert abs(chk.purity_pair[0] - 1.0) < 1e-10
-    assert abs(chk.purity_pair[1] - 1.0) < 1e-10
-
-
-def test_swap_purity_maximally_mixed_d3():
-    chk = swap_purity_check(np.eye(3) / 3)
-    for pair in (chk.purity_pair, chk.dephased_pair):
-        assert abs(pair[0] - 1.0 / 3.0) < 1e-12
-        assert abs(pair[1] - 1.0 / 3.0) < 1e-12
-
-
-def test_swap_purity_matches_frozen_value(load_fixture):
-    fix = load_fixture("swap_purity_d4.json")
-    rho = matrix_from_json(fix["input"])
-    chk = swap_purity_check(rho)
-    assert abs(chk.purity_pair[0] - fix["value"][0]) < fix["tol"]
-    assert abs(chk.dephased_pair[0] - fix["value"][1]) < fix["tol"]
-    assert abs(chk.purity_pair[0] - chk.purity_pair[1]) < 1e-10
-    assert abs(chk.dephased_pair[0] - chk.dephased_pair[1]) < 1e-10
-
-
-def test_swap_purity_dimension_guard():
-    with pytest.raises(ValueError):
-        swap_purity_check(np.eye(100) / 100)
-
-
 # -- random generators -------------------------------------------------------------
 
 
 def test_random_state_rank_one_is_pure():
     rho = random_state(4, rank=1, seed=9)
-    assert abs(purity(rho) - 1.0) < 1e-12
+    assert abs(np.trace(rho @ rho).real - 1.0) < 1e-12
 
 
 def test_random_state_full_rank_trace_one():
