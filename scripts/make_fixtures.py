@@ -3,8 +3,10 @@
 
 Every derived expected value used by the test suite is computed here, by
 code paths independent of the implementation under test, and stored as
-{seed, input, value, tol, oracle}.  Rerunning the script must reproduce the
-files byte-for-byte (all randomness is seeded).
+{seed, input, value, tol, oracle}.  All randomness is seeded, so rerunning
+the script reproduces every input byte-for-byte; a value derived by a solver
+(for example gap_qutrit.json's roc and gap) reproduces within its fixture's
+tol, since its last digits follow the BLAS build and the solver's arithmetic.
 """
 from __future__ import annotations
 

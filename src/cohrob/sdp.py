@@ -61,7 +61,15 @@ class SolveStatus(str, Enum):
 
 
 class SolverError(RuntimeError):
-    """Raised by solve_or_raise when a solve does not reach OPTIMAL."""
+    """Raised when a solve does not reach OPTIMAL or its answer fails a check.
+
+    solution: the ConicSolution that solve_or_raise refused (its best
+    iterate), for callers that check it themselves; None otherwise.
+    """
+
+    def __init__(self, message: str, solution=None):
+        super().__init__(message)
+        self.solution = solution
 
 
 # -- realification -------------------------------------------------------------
@@ -596,7 +604,7 @@ def solve_or_raise(problem: ConicProblem, **options) -> ConicSolution:
     """solve, raising SolverError unless the status is OPTIMAL."""
     sol = solve(problem, **options)
     if sol.status is not SolveStatus.OPTIMAL:
-        raise SolverError(f"solve ended with status {sol.status.value}")
+        raise SolverError(f"solve ended with status {sol.status.value}", solution=sol)
     return sol
 
 

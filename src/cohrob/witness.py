@@ -18,8 +18,9 @@ import numpy as np
 
 from . import sdp
 from .games import CROSS_CHECK_TOL
-from .linalg import as_density, as_hermitian, dephase, jacobi_eigh, jacobi_eigvalsh
-from .roc import roc_exact, solve_robustness
+from .linalg import (as_density, as_hermitian, dephase, jacobi_eigh, jacobi_eigvalsh,
+                     l1_coherence)
+from .roc import VALUE_FLOOR, solve_robustness
 
 DIAG_TOL = 1e-10
 EIG_TOL = 1e-10
@@ -241,6 +242,15 @@ def _deviation(data: WitnessDataset, slack: np.ndarray, rho: np.ndarray) -> floa
                for o, e, s in zip(data.observables, data.expectations, slack))
 
 
+def _unit_trace_psd_part(x: np.ndarray) -> tuple:
+    """(rho, trace): the PSD part of a Hermitian iterate divided by its trace,
+    and that trace."""
+    w, v = jacobi_eigh(x)
+    rho = (v * np.maximum(w, 0.0)) @ v.conj().T
+    trace = np.trace(rho).real
+    return rho / trace, trace
+
+
 def _phase1_deviation(data: WitnessDataset, slack: np.ndarray, tol: float) -> tuple:
     """Smallest worst-case |Tr[O_i rho'] - o_i| - slack_i over states rho',
     and a state that attains it.
@@ -289,9 +299,7 @@ def _phase1_deviation(data: WitnessDataset, slack: np.ndarray, tol: float) -> tu
     sol = sdp.solve(problem, tol=tol, start=start)
     if sol.status is sdp.SolveStatus.OPTIMAL:
         return max(0.0, float(sol.primal_value)), sol.x[0]
-    w, v = jacobi_eigh(sol.x[0])
-    rho = (v * np.maximum(w, 0.0)) @ v.conj().T
-    rho /= np.trace(rho).real
+    rho, _ = _unit_trace_psd_part(sol.x[0])
     deviation = _deviation(data, slack, rho)
     if not deviation <= FEASIBILITY_TOL:
         raise sdp.SolverError(f"solve ended with status {sol.status.value}")
@@ -313,21 +321,105 @@ def _pinned_state(data: WitnessDataset, slack: np.ndarray, state: np.ndarray):
     return pure if _deviation(data, slack, pure) <= FEASIBILITY_TOL else None
 
 
+def _joint_problem(data: WitnessDataset, slack: np.ndarray) -> sdp.ConicProblem:
+    """min Tr Z + Tr rho over Z, rho >= 0 with Z + rho diagonal, Tr rho = 1
+    and the observable rows.
+
+    D = diag(Z + rho) then majorizes rho, so the primal value is Tr D.  Rows:
+    one per off-diagonal element of hermitian_basis(d), acting on both
+    blocks (rhs 0), then the trace row, then Tr[O_i rho] (+ a_i) =
+    o_i + slack_i for each i, and with slack the rows Tr[O_i rho] - b_i =
+    o_i - slack_i on surplus blocks a, b >= 0.
+    """
+    d, k = data.dim, len(data.observables)
+    off_diagonal = sdp.hermitian_basis(d)[d:]
+    n_off = off_diagonal.shape[0]
+    relaxed = bool(np.any(slack > 0.0))
+    m = n_off + 1 + (2 * k if relaxed else k)
+
+    z_stack = np.zeros((m, d, d), dtype=np.complex128)
+    z_stack[:n_off] = off_diagonal
+    rho_stack = z_stack.copy()
+    rho_stack[n_off] = np.eye(d)
+    rhs = np.zeros(m)
+    rhs[n_off] = 1.0
+    upper = n_off + 1 + np.arange(k)
+    rho_stack[upper] = data.observables
+    rhs[upper] = np.asarray(data.expectations) + slack
+
+    eye = np.eye(d, dtype=np.complex128)
+    blocks = [(sdp.PSD, d), (sdp.PSD, d)]
+    cost = [eye, eye]
+    stacks = [z_stack, rho_stack]
+    if relaxed:
+        lower = upper + k
+        a_stack = np.zeros((m, k))
+        a_stack[upper, np.arange(k)] = 1.0
+        b_stack = np.zeros((m, k))
+        b_stack[lower, np.arange(k)] = -1.0
+        rho_stack[lower] = data.observables
+        rhs[lower] = np.asarray(data.expectations) - slack
+        blocks += [(sdp.NONNEG, k), (sdp.NONNEG, k)]
+        cost += [np.zeros(k), np.zeros(k)]
+        stacks += [a_stack, b_stack]
+    return sdp.ConicProblem.build(blocks=blocks, cost=cost, rhs=rhs, stacks=stacks)
+
+
+def _joint_bracket(data: WitnessDataset, slack: np.ndarray, sol: sdp.ConicSolution) -> tuple:
+    """(lower, upper, state, sensitivity) from any iterate of _joint_problem.
+
+    lower bounds the robustness of every state within the slack: the dual
+    vector gives the unit-diagonal G = 1 - sum_i y_i B_i over the
+    off-diagonal rows, the trace multiplier lam and the observable
+    multipliers c_i (upper plus lower row), and G shifted by e =
+    max(0, -lambda_min(G)) and rescaled is a feasible dual point of the
+    robustness program.  upper is at least the robustness of state, the PSD
+    part of the rho block scaled to trace 1, since D = diag(Z + rho) scaled
+    alike and lifted by its eigenvalue defect majorizes it.  sensitivity
+    sum_i |c_i| bounds how far lower moves per unit of data mismatch.
+    """
+    d, k = data.dim, len(data.observables)
+    n_off = d * d - d
+    y = sol.y
+    coeffs = y[n_off + 1:n_off + 1 + k].copy()
+    if y.size > n_off + 1 + k:
+        coeffs += y[n_off + 1 + k:]
+    eye = np.eye(d, dtype=np.complex128)
+    g = eye - np.tensordot(y[:n_off], sdp.hermitian_basis(d)[d:], axes=1)
+    shift = max(0.0, -float(jacobi_eigvalsh(g)[0]))
+    s = g - y[n_off] * eye - np.tensordot(coeffs, np.stack(data.observables), axes=1)
+    lower = (min(0.0, float(jacobi_eigvalsh(s)[0])) + float(y[n_off])
+             + float(coeffs @ np.asarray(data.expectations))
+             - float(np.abs(coeffs) @ slack) + shift) / (1.0 + shift) - 1.0
+
+    state, trace = _unit_trace_psd_part(sol.x[1])
+    majorant = np.diag(np.diag(sol.x[0] + sol.x[1]).real / trace)
+    defect = max(0.0, -float(jacobi_eigvalsh(majorant - state)[0]))
+    upper = float(np.trace(majorant).real) + d * defect - 1.0
+    return lower, upper, state, float(np.sum(np.abs(coeffs)))
+
+
 def min_roc_from_data(data: WitnessDataset, slack=0.0, tol: float = 1e-8) -> DataRocResult:
     """Exact minimum robustness of coherence among states matching the data.
 
     Runs a feasibility pre-pass (raising InfeasibleDataError if even the
     best state misses some expectation by more than the tolerance), then
-    minimizes the diagonal-majorant trace jointly over the state and the
-    majorant under the expectation constraints.  `slack` relaxes each
-    equality to an interval of that half-width (scalar or per-observable).
+    solves _joint_problem: the least Tr D over diagonal D >= rho, jointly
+    over the state and D, under the expectation constraints.  `slack`
+    relaxes each equality to an interval of that half-width (scalar or
+    per-observable).  Values below 1e-6 are refined and values at or below
+    1e-9 are 0, as in `roc_exact`.
 
     When the data pin down a single pure state, the joint program has no
-    interior point and the value is that state's robustness, so `roc_exact`
-    answers instead (the one-point case of facial reduction).  Values below
-    1e-6 are refined and values at or below 1e-9 are 0, as in `roc_exact`.
+    interior point and the value is that state's l1 coherence, its
+    robustness (the one-point case of facial reduction).  When the joint
+    solve stalls, its best iterate answers if _joint_bracket closes: its
+    state matches the data within FEASIBILITY_TOL (mismatch delta) and
+    lower - delta * sensitivity <= upper <= lower + CROSS_CHECK_TOL; the
+    value is then upper, the robustness bound of that state.  Otherwise
+    the SolverError is raised.
     """
-    d, k = data.dim, len(data.observables)
+    k = len(data.observables)
     slack_arr = np.broadcast_to(np.asarray(slack, dtype=float), (k,)).copy()
     if not np.all(np.isfinite(slack_arr)) or np.any(slack_arr < 0.0):
         raise ValueError("slack must be finite and nonnegative")
@@ -337,49 +429,22 @@ def min_roc_from_data(data: WitnessDataset, slack=0.0, tol: float = 1e-8) -> Dat
         raise InfeasibleDataError(deviation)
     pinned = _pinned_state(data, slack_arr, phase1_state)
     if pinned is not None:
-        return DataRocResult(value=roc_exact(pinned, tol=tol).value, state=pinned,
+        value = l1_coherence(pinned)  # a pure state's robustness is its l1 coherence
+        return DataRocResult(value=value if value > VALUE_FLOOR else 0.0, state=pinned,
                              deviation=deviation)
 
-    basis = sdp.hermitian_basis(d)
-    n_entry = d * d
-    relaxed = bool(np.any(slack_arr > 0.0))
-    n_obs_rows = 2 * k if relaxed else k
-    m = n_entry + 1 + n_obs_rows
-
-    z_stack = np.zeros((m, d, d), dtype=np.complex128)
-    z_stack[:n_entry] = -basis
-    rho_stack = np.zeros((m, d, d), dtype=np.complex128)
-    rho_stack[:n_entry] = -basis
-    rho_stack[n_entry] = np.eye(d)
-    t_stack = np.zeros((m, d))
-    t_stack[:d, :] = np.eye(d)
-    rhs = np.zeros(m)
-    rhs[n_entry] = 1.0
-    # observable rows Tr[O_i rho] (+ a_i) = o_i + slack_i; with zero slack
-    # these are the equalities and rhs is exactly o_i
-    upper = n_entry + 1 + np.arange(k)
-    rho_stack[upper] = data.observables
-    rhs[upper] = np.asarray(data.expectations) + slack_arr
-
-    blocks = [(sdp.PSD, d), (sdp.PSD, d), (sdp.NONNEG, d)]
-    cost = [np.zeros((d, d), dtype=np.complex128),
-            np.zeros((d, d), dtype=np.complex128), np.ones(d)]
-    stacks = [z_stack, rho_stack, t_stack]
-    if relaxed:
-        # surplus a_i on the upper rows; lower rows Tr[O_i rho] - b_i = o_i - slack_i
-        lower = upper + k
-        a_stack = np.zeros((m, k))
-        a_stack[upper, np.arange(k)] = 1.0
-        b_stack = np.zeros((m, k))
-        b_stack[lower, np.arange(k)] = -1.0
-        rho_stack[lower] = data.observables
-        rhs[lower] = np.asarray(data.expectations) - slack_arr
-        blocks += [(sdp.NONNEG, k), (sdp.NONNEG, k)]
-        cost += [np.zeros(k), np.zeros(k)]
-        stacks += [a_stack, b_stack]
-
-    problem = sdp.ConicProblem.build(blocks=blocks, cost=cost, rhs=rhs, stacks=stacks)
-    # the cost is Tr t with t = diag(Z + rho), so Tr D - 1 is the primal value - 1
-    sol, value = solve_robustness(problem, None, tol, lambda sol: float(sol.primal_value) - 1.0)
+    problem = _joint_problem(data, slack_arr)
+    try:
+        sol, value = solve_robustness(problem, None, tol,
+                                      lambda sol: float(sol.primal_value) - 1.0)
+    except sdp.SolverError as exc:
+        # a stalled solve answers from its best iterate when the bracket closes
+        lower, upper, state, sensitivity = _joint_bracket(data, slack_arr, exc.solution)
+        delta = _deviation(data, slack_arr, state)
+        if not (delta <= FEASIBILITY_TOL
+                and lower - delta * sensitivity <= upper <= lower + CROSS_CHECK_TOL):
+            raise
+        return DataRocResult(value=upper if upper > VALUE_FLOOR else 0.0, state=state,
+                             deviation=deviation)
     state = as_density(sol.x[1] / float(np.trace(sol.x[1]).real))
     return DataRocResult(value=value, state=state, deviation=deviation)

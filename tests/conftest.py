@@ -67,3 +67,17 @@ def recorded_solves(monkeypatch):
 
     monkeypatch.setattr(sdp, "solve", recorded)
     return solves
+
+
+@pytest.fixture
+def joint_solve_stopped(monkeypatch):
+    """Cut min_roc_from_data's joint solve to one iteration.  Phase 1 and the
+    near-zero refine start from a given point; the joint solve alone does not."""
+    real_solve = sdp.solve
+
+    def stopped(problem, **options):
+        if options.get("start") is None:
+            options = {**options, "max_iter": 1}
+        return real_solve(problem, **options)
+
+    monkeypatch.setattr(sdp, "solve", stopped)

@@ -114,6 +114,19 @@ def test_min_roc_overflow_exit_two(monkeypatch, capsys):
     assert "solver failure: solve ended with status max_iter" in capsys.readouterr().err
 
 
+def test_min_roc_stalled_joint_solve_with_wide_bracket_exit_two(tmp_path, joint_solve_stopped,
+                                                                capsys):
+    # the joint solve (the one solve without a start point) stops after one
+    # iteration, where its bracket is far from closed
+    data = WitnessDataset.from_state(random_state(3, seed=4), [
+        np.diag([1.0, -1.0, 0.0]),
+        np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]]),
+    ])
+    path = write_json(tmp_path / "ds.json", dataset_to_json(data))
+    assert cli.main(["min-roc-from-data", path]) == 2
+    assert "solver failure: solve ended with status max_iter" in capsys.readouterr().err
+
+
 def test_min_roc_overflow_is_answered(capsys):
     with np.errstate(over="ignore", invalid="ignore"):
         assert cli.main(["min-roc-from-data", OVERFLOW_FIXTURE, "--slack", "1e-7"]) == 0

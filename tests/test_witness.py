@@ -15,11 +15,16 @@ from cohrob.linalg import (
     random_pure,
     random_state,
 )
-from cohrob.roc import roc_exact
+from cohrob.games import CROSS_CHECK_TOL
+from cohrob.roc import TOL_FLOOR, roc_exact
 from cohrob.witness import (
+    FEASIBILITY_TOL,
     InfeasibleDataError,
     InvalidWitnessError,
     WitnessDataset,
+    _deviation,
+    _joint_bracket,
+    _joint_problem,
     best_witness_from_data,
     min_roc_from_data,
     population_gap_witness,
@@ -264,11 +269,12 @@ def _pinned_qutrit_data(seed):
 
 
 @pytest.mark.parametrize("seed", range(20))
-def test_min_roc_pinned_pure_qutrit(seed):
+def test_min_roc_pinned_pure_qutrit(seed, recorded_solves):
     rho, data = _pinned_qutrit_data(seed)
     result = min_roc_from_data(data)
     assert abs(result.value - l1_coherence(rho)) < 1e-6
     assert np.max(np.abs(result.state - rho)) < 1e-6
+    assert len(recorded_solves) == 1  # phase 1 only: the value is a closed form
 
 
 def test_min_roc_pinned_data_with_slack_is_not_pinned():
@@ -335,6 +341,64 @@ def test_min_roc_minimizer_state_attains_reported_value():
     result = min_roc_from_data(data)
     assert result.value <= roc_exact(rho).value + 1e-6
     assert abs(roc_exact(result.state).value - result.value) < 1e-5
+
+
+def _rank_one_qutrit_data():
+    """A pure qutrit state and six random observables (they pin the state)."""
+    rng = np.random.default_rng(0)
+    rho = density_of(random_pure(3, seed=0))
+    obs = []
+    for _ in range(6):
+        g = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        obs.append((g + g.conj().T) / 2)
+    return WitnessDataset.from_state(rho, obs)
+
+
+def _thin_qubit_data():
+    """A qubit whose Bloch vector is 1e-6 inside the sphere, measured along x
+    and z: the consistent states form a segment of length about 3e-3."""
+    r = 1.0 - 1e-6
+    rho = 0.5 * (np.eye(2) + r * (0.6 * PAULI_X + 0.8 * PAULI_Z))
+    return WitnessDataset.from_state(rho, [PAULI_X, PAULI_Z])
+
+
+@pytest.mark.parametrize("make_data", [_rank_one_qutrit_data, _thin_qubit_data])
+@pytest.mark.parametrize("max_iter", [2, 5, 10])
+def test_joint_bracket_holds_at_any_iterate(make_data, max_iter):
+    data = make_data()
+    slack = np.zeros(len(data.observables))
+    optimal = min_roc_from_data(data).value
+    sol = sdp.solve(_joint_problem(data, slack), max_iter=max_iter)
+    lower, upper, state, sensitivity = _joint_bracket(data, slack, sol)
+    assert lower <= optimal + 1e-9
+    # the reference at the tightest tolerance, since roc_exact's value sits
+    # above the robustness by up to its tolerance
+    assert upper >= roc_exact(state, tol=TOL_FLOOR).value - 1e-9
+    assert sensitivity > 0.0
+
+
+def test_joint_bracket_closes_at_the_optimum():
+    data = _thin_qubit_data()
+    slack = np.zeros(2)
+    sol = sdp.solve(_joint_problem(data, slack))
+    assert sol.status is sdp.SolveStatus.OPTIMAL
+    lower, upper, state, _ = _joint_bracket(data, slack, sol)
+    assert lower <= upper <= lower + CROSS_CHECK_TOL
+    assert abs(upper - (sol.primal_value - 1.0)) < 1e-7
+    assert _deviation(data, slack, state) <= FEASIBILITY_TOL
+
+
+def test_min_roc_stalled_joint_solve_with_wide_bracket_raises(joint_solve_stopped):
+    data = WitnessDataset.from_state(random_state(3, seed=4), [
+        np.diag([1.0, -1.0, 0.0]),
+        np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]]),
+    ])
+    with pytest.raises(sdp.SolverError, match="status max_iter") as err:
+        min_roc_from_data(data)
+    sol = err.value.solution
+    assert sol.iterations == 1
+    lower, upper, _, _ = _joint_bracket(data, np.zeros(2), sol)
+    assert upper > lower + CROSS_CHECK_TOL
 
 
 @given(st.integers(0, 10 ** 6))
