@@ -7,8 +7,9 @@ one acted.  The best success probability is a semidefinite program over
 measurements.  It is answered by one of three routes chosen from the game's
 data, and every answer is checked by the same dual certificate:
 two-hypothesis games by Helstrom's closed form, with no solve; the canonical
-uniform game over the d clock phases by one robustness solve, whose program
-it is; every other game by one solve of the measurement program.
+uniform game over the d clock phases by the robustness program, whose
+program it is, in closed form for a phase-alignable probe and by one solve
+otherwise; every other game by one solve of the measurement program.
 The advantage over the best incoherent probe is capped by one plus the
 robustness of coherence, with equality at the canonical uniform-phase game.
 For a channel game the best incoherent probe is found by branch and bound
@@ -24,7 +25,7 @@ import numpy as np
 
 from . import sdp
 from .linalg import as_density, as_hermitian, basis_projector, jacobi_eigh, jacobi_eigvalsh
-from .roc import roc_exact
+from .roc import aligning_phases, l1_majorant, roc_exact
 
 PRIOR_SUM_TOL = 1e-12
 PHASE_DISTINCT_TOL = 1e-12
@@ -237,20 +238,28 @@ def _is_canonical(game) -> bool:
 
 
 def _canonical_measurement(game, rho, tol: float):
-    """The canonical game's pair from one robustness solve.
+    """The canonical game's pair from the robustness program's optimum.
 
     Covariance reduces the measurement program to max Tr[Y rho] / d over
     Y >= 0 with unit diagonal, the robustness program.  M_k = U_k Y U_k† / d
     sums to the identity because diag(Y) = 1, and Q = D / d dominates every
-    U_k rho U_k† / d because D = (1 + value) delta is diagonal and D >= rho.
+    U_k rho U_k† / d because D is diagonal and D >= rho.  An alignable probe
+    takes the closed form Y = vv†, D = l1_majorant(rho) with no solve; any
+    other probe takes one roc_exact solve.
     """
-    cert = roc_exact(rho, tol=tol)
-    y = np.eye(game.dim) - cert.witness
+    d = game.dim
+    phi = aligning_phases(rho)
+    if phi is not None:
+        v = np.exp(-1j * phi)
+        y, majorant = np.outer(v, v.conj()), np.diag(l1_majorant(rho))
+    else:
+        cert = roc_exact(rho, tol=tol)
+        y, majorant = np.eye(d) - cert.witness, (1.0 + cert.value) * cert.incoherent_part
     povm = []
-    for _, phi in game.entries:
-        u = phase_channel(game.dim, phi)
-        povm.append(u @ y @ u.conj().T / game.dim)
-    return povm, (1.0 + cert.value) * cert.incoherent_part / game.dim
+    for _, phi_k in game.entries:
+        u = phase_channel(d, phi_k)
+        povm.append(u @ y @ u.conj().T / d)
+    return povm, majorant / d
 
 
 def _majorants(weighted) -> np.ndarray:
@@ -313,9 +322,10 @@ def success_probability(game, rho, tol: float = 1e-8):
     The POVM and a dominating operator Q come from one of three routes,
     chosen from the game's data: two hypotheses take Helstrom's projector
     (no solve); the canonical game at d >= 3 (d entries, priors 1/d, the
-    phases 2 pi k / d in any order) takes one roc_exact solve; every other
-    game takes one solve of the measurement program.  Every route is checked
-    outside the engine by the same certificate (see
+    phases 2 pi k / d in any order) takes the robustness program's closed
+    form for a phase-alignable probe and one roc_exact solve otherwise;
+    every other game takes one solve of the measurement program.  Every
+    route is checked outside the engine by the same certificate (see
     check_measurement_certificate): the POVM is valid, Q dominates every
     weighted state, and the value of the returned POVM and Tr Q agree
     within 1e-7.  rho is validated once, and that matrix feeds every route.

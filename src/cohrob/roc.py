@@ -12,6 +12,14 @@ has one PSD block and one constraint row per diagonal entry (d rows, not
 d^2).  The dual solution yields an optimal witness W = 1 - Y with zero
 diagonal; the engine's dual vector yields D and with it the pseudomixture
 rho = (1+s) delta - s tau with delta = D / Tr D diagonal and tau a state.
+
+The closed form seeds the solve.  D_cf = l1_majorant(rho), with
+D_jj = rho_jj + sum_{l != j} |rho_jl|, is primal-feasible for every state
+(D_cf - rho is diagonally dominant), and for a phase-alignable state it is
+optimal together with the witness 1 - vv†, v the aligning phases.  The
+solve starts from a scaled D_cf and from Y leaning towards vv† (towards the
+phases of rho's top eigenvector when no aligning phases exist), strictly
+inside both cones.
 """
 from __future__ import annotations
 
@@ -22,6 +30,7 @@ import numpy as np
 from . import sdp
 from .linalg import (
     as_hermitian,
+    jacobi_eigh,
     jacobi_eigvalsh,
     l1_coherence,
     random_state,
@@ -54,6 +63,13 @@ class RocCertificate:
     iterations: int = 0
 
 
+# The start point: D0 = START_SCALE * D_cf + START_FLOOR with D_cf the
+# l1 majorant, and Y0 = (1 - START_MIX) 1 + START_MIX vv† with unit diagonal.
+START_SCALE = 1.25
+START_MIX = 0.3
+START_FLOOR = 0.01
+
+
 def _roc_problem(rho: np.ndarray):
     d = rho.shape[0]
     # min <-rho, Y> over Y >= 0 with <E_jj, Y> = 1: the engine's x is Y (the
@@ -68,10 +84,20 @@ def _roc_problem(rho: np.ndarray):
         rhs=np.ones(d),
         stacks=[rows],
     )
-    # strictly feasible start: Y = I, D = 2I, slack 2I - rho > 0 since
-    # lambda_max(rho) <= 1
-    eye = np.eye(d, dtype=np.complex128)
-    start = ([eye], -2.0 * np.ones(d), [2.0 * eye - rho])
+    # strictly feasible start near the closed form (the diagonally dominant
+    # start of Helmberg, Rendl, Vanderbei & Wolkowicz 1996): D_cf - rho is
+    # diagonally dominant and D_cf >= 0, so the slack D0 - rho >= START_FLOOR;
+    # Y0 leans towards vv†, with v the aligning phases when they exist (then
+    # 1 - vv† is the optimal witness) and the phases of rho's top eigenvector
+    # otherwise, and its eigenvalues stay >= 1 - START_MIX
+    d0 = START_SCALE * l1_majorant(rho) + START_FLOOR
+    phi = aligning_phases(rho)
+    if phi is None:
+        phi = -np.angle(jacobi_eigh(rho)[1][:, -1])
+    v = np.exp(-1j * phi)
+    y0 = (1.0 - START_MIX) * np.eye(d) + START_MIX * np.outer(v, v.conj())
+    np.fill_diagonal(y0, 1.0)
+    start = ([y0], -d0, [np.diag(d0) - rho])
     return problem, start
 
 
@@ -121,28 +147,40 @@ FAST_PATH_ZERO = 1e-10  # off-diagonals below this fraction of the peak are zero
 FAST_PATH_CYCLE_TOL = 1e-8
 
 
-def roc_fast_path(rho) -> float | None:
-    """l1 off-diagonal norm when a diagonal unitary aligns all entries.
+def l1_majorant(rho) -> np.ndarray:
+    """D_jj = rho_jj + sum_{l != j} |rho_jl|, the closed-form primal point.
 
-    Searches for phases phi with e^{i(phi_k - phi_l)} rho_kl = |rho_kl| on
-    every nonzero off-diagonal.  When they exist (qubits, pure states,
-    X-shaped states, ...) the robustness equals the l1 coherence and is
-    returned; otherwise returns None.
+    D - rho is diagonally dominant, so D >= rho, and Tr D = 1 + l1 for a
+    state: the robustness program's value at D is the l1 coherence.
     """
-    a = as_hermitian(rho)
-    d = a.shape[0]
-    peak = float(np.max(np.abs(a)))
-    if peak == 0.0:
-        return 0.0
-    thr = FAST_PATH_ZERO * peak
+    mags = np.abs(rho)
+    return np.diag(rho).real + np.sum(mags, axis=1) - np.diag(mags)
+
+
+def _coherent_pairs(a: np.ndarray) -> tuple:
+    """Index arrays (k, l), k < l, of the off-diagonals above FAST_PATH_ZERO
+    of the peak entry."""
     mags = np.abs(a)
-    edges = [(k, l) for k in range(d) for l in range(k + 1, d) if mags[k, l] > thr]
-    if not edges:
-        return 0.0
-    adj = [[] for _ in range(d)]
-    for k, l in edges:
-        adj[k].append(l)
-        adj[l].append(k)
+    return np.nonzero(np.triu(mags > FAST_PATH_ZERO * float(np.max(mags)), 1))
+
+
+def aligning_phases(rho) -> np.ndarray | None:
+    """Phases phi with e^{i(phi_k - phi_l)} rho_kl = |rho_kl|, or None.
+
+    Only the off-diagonals above FAST_PATH_ZERO of the peak entry count.  A
+    search through them fixes phi (0 at the root of each connected part);
+    every entry must then close its cycle within FAST_PATH_CYCLE_TOL.  With
+    v_j = e^{-i phi_j}, W = 1 - vv† is an optimal witness and D = l1_majorant
+    an optimal primal point (qubits, pure states, X-shaped states, ...).
+    """
+    a = np.asarray(rho)
+    d = a.shape[0]
+    ks, ls = _coherent_pairs(a)
+    linked = np.zeros((d, d), dtype=bool)
+    linked[ks, ls] = linked[ls, ks] = True
+    # step[k, l]: phi_l - phi_k wanted, arg(rho_kl) for k < l, -arg(rho_lk) else
+    step = np.triu(np.angle(a), 1)
+    step = step - step.T
     phi = np.full(d, np.nan)
     for root in range(d):
         if not np.isnan(phi[root]):
@@ -151,19 +189,25 @@ def roc_fast_path(rho) -> float | None:
         queue = [root]
         while queue:
             k = queue.pop()
-            for l in adj[k]:
-                if np.isnan(phi[l]):
-                    # want phi_k - phi_l + arg(rho_kl) = 0 for k < l
-                    ang = np.angle(a[k, l]) if k < l else -np.angle(a[l, k])
-                    phi[l] = phi[k] + ang
-                    queue.append(l)
-    phi = np.where(np.isnan(phi), 0.0, phi)
-    for k, l in edges:
-        res = phi[k] - phi[l] + np.angle(a[k, l])
-        res = (res + np.pi) % (2.0 * np.pi) - np.pi
-        if abs(res) > FAST_PATH_CYCLE_TOL:
-            return None
-    return l1_coherence(a)
+            reached = np.flatnonzero(linked[k] & np.isnan(phi))
+            phi[reached] = phi[k] + step[k, reached]
+            queue.extend(reached.tolist())
+    res = phi[ks] - phi[ls] + step[ks, ls]
+    res = (res + np.pi) % (2.0 * np.pi) - np.pi
+    return None if np.any(np.abs(res) > FAST_PATH_CYCLE_TOL) else phi
+
+
+def roc_fast_path(rho) -> float | None:
+    """l1 off-diagonal norm when a diagonal unitary aligns all entries.
+
+    When aligning_phases finds phases the robustness equals the l1
+    coherence and is returned (0 when no off-diagonal counts); otherwise
+    returns None.
+    """
+    a = as_hermitian(rho)
+    if _coherent_pairs(a)[0].size == 0:
+        return 0.0
+    return None if aligning_phases(a) is None else l1_coherence(a)
 
 
 def roc_value(rho) -> tuple[float, str]:

@@ -349,7 +349,10 @@ def test_canonical_game_agrees_with_the_general_program(d, solved_problems):
         solved_problems.clear()
         p, povm = success_probability(game, rho)
         validate_povm(povm, d=d)
-        if d >= 3:  # at d = 2 the game has two hypotheses: no solve
+        if d >= 3 and kind in ("pure", "diagonal"):
+            # an alignable probe takes the robustness program's closed form
+            assert solved_problems == [], kind
+        elif d >= 3:  # at d = 2 the game has two hypotheses: no solve
             # one robustness program; near-zero values continue its solve
             [problem] = {id(q): q for q in solved_problems}.values()
             assert problem.unit_diagonal, kind

@@ -17,6 +17,12 @@ from cohrob.linalg import (
     random_unitary,
 )
 from cohrob.roc import (
+    FAST_PATH_CYCLE_TOL,
+    FAST_PATH_ZERO,
+    START_FLOOR,
+    START_MIX,
+    _roc_problem,
+    aligning_phases,
     check_certificate,
     find_l1_gap_witness,
     roc_bounds,
@@ -123,6 +129,62 @@ def test_certificate_reconstruction_explicit():
     assert abs(-np.vdot(cert.witness, rho).real - s) <= 1e-6
 
 
+# -- start point --------------------------------------------------------------------------
+
+
+def _identity_start(rho):
+    """The start roc_exact used before its closed-form one, kept as the
+    reference: Y = 1, D = 2 * 1, slack 2 * 1 - rho."""
+    d = rho.shape[0]
+    eye = np.eye(d, dtype=np.complex128)
+    return [eye], -2.0 * np.ones(d), [2.0 * eye - rho]
+
+
+def _start_edge_states():
+    """States whose start is easiest to get wrong: empty or tiny rows and
+    entries, rank one, and the maximally coherent state."""
+    zero_row = np.zeros((4, 4), dtype=np.complex128)
+    zero_row[:3, :3] = random_state(3, seed=21)
+    tiny_pop = random_pure(4, seed=22)
+    tiny_pop[0] = 1e-6
+    tiny_pop /= np.linalg.norm(tiny_pop)
+    sigma = random_state(5, seed=23)
+    tiny_off = dephase(sigma) + 1e-12 * (sigma - dephase(sigma)) / np.max(np.abs(sigma))
+    return {
+        "zero_population_row": zero_row,
+        "populations_1e-12": density_of(tiny_pop),
+        "off_diagonals_1e-12": tiny_off,
+        "pure": density_of(random_pure(6, seed=24)),
+        "maximally_coherent": maximally_coherent_state(5),
+    }
+
+
+@pytest.mark.parametrize("kind", list(_start_edge_states()))
+def test_start_is_strictly_feasible(kind):
+    rho = _start_edge_states()[kind]
+    problem, start = _roc_problem(rho)
+    [y0], dual, [s0] = start
+    assert np.all(np.diag(y0) == 1.0)
+    assert np.allclose(y0, y0.conj().T, rtol=0.0, atol=1e-15)
+    assert np.linalg.eigvalsh(y0)[0] >= 1.0 - START_MIX - 1e-12
+    # the slack is exactly the dual residual's complement, D0 - rho
+    assert np.array_equal(s0, np.diag(-dual).astype(np.complex128) - rho)
+    assert np.linalg.eigvalsh(s0)[0] >= START_FLOOR - 1e-12
+    assert sdp.solve(problem, start=start).status is sdp.SolveStatus.OPTIMAL
+
+
+def test_start_takes_fewer_iterations_than_the_identity_start():
+    rng = np.random.default_rng(25)
+    closed_form = identity = 0
+    for d in (16, 24, 32):
+        for rank in (d, 2):
+            rho = random_state(d, rank=rank, seed=int(rng.integers(2 ** 31)))
+            problem, start = _roc_problem(rho)
+            closed_form += sdp.solve(problem, start=start).iterations
+            identity += sdp.solve(problem, start=_identity_start(rho)).iterations
+    assert closed_form < identity
+
+
 # -- analytic fast path ----------------------------------------------------------------
 
 
@@ -175,6 +237,56 @@ def test_fast_path_handles_disconnected_blocks():
     value = roc_fast_path(rho)
     assert value is not None
     assert abs(value - l1_coherence(rho)) < 1e-12
+
+
+def _loop_aligning_phases(a):
+    """The edge-by-edge search aligning_phases replaced, kept as the
+    reference: the same arithmetic, one entry at a time."""
+    d = a.shape[0]
+    mags = np.abs(a)
+    thr = FAST_PATH_ZERO * float(np.max(mags))
+    edges = [(k, l) for k in range(d) for l in range(k + 1, d) if mags[k, l] > thr]
+    adj = [[] for _ in range(d)]
+    for k, l in edges:
+        adj[k].append(l)
+        adj[l].append(k)
+    phi = np.full(d, np.nan)
+    for root in range(d):
+        if not np.isnan(phi[root]):
+            continue
+        phi[root] = 0.0
+        queue = [root]
+        while queue:
+            k = queue.pop()
+            for l in adj[k]:
+                if np.isnan(phi[l]):
+                    ang = np.angle(a[k, l]) if k < l else -np.angle(a[l, k])
+                    phi[l] = phi[k] + ang
+                    queue.append(l)
+    for k, l in edges:
+        res = (phi[k] - phi[l] + np.angle(a[k, l]) + np.pi) % (2.0 * np.pi) - np.pi
+        if abs(res) > FAST_PATH_CYCLE_TOL:
+            return None
+    return phi
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 8])
+def test_aligning_phases_matches_the_loop_reference(d):
+    sigma = random_state(d, seed=30 + d)
+    x_shaped = np.diag(np.diag(sigma)) + np.fliplr(np.diag(np.diag(np.fliplr(sigma))))
+    states = [
+        density_of(random_pure(d, seed=d)),
+        sigma,
+        x_shaped,
+        dephase(sigma),
+        dephase(sigma) + 1e-11 * (sigma - dephase(sigma)),
+    ]
+    for rho in states:
+        expected = _loop_aligning_phases(rho)
+        phi = aligning_phases(rho)
+        assert (phi is None) == (expected is None)
+        if phi is not None:
+            assert np.array_equal(phi, expected)
 
 
 def test_roc_value_selects_route():
