@@ -72,18 +72,11 @@ START_FLOOR = 0.01
 
 def _roc_problem(rho: np.ndarray):
     d = rho.shape[0]
-    # min <-rho, Y> over Y >= 0 with <E_jj, Y> = 1: the engine's x is Y (the
+    # min <-rho, Y> over Y >= 0 with diag(Y) = 1: the engine's x is Y (the
     # witness is 1 - Y), its y gives D = diag(-y) >= rho, and its slack is
     # -rho - diag(y) = D - rho, the unnormalised tau.  d rows, so the Schur
     # complement is d x d.
-    rows = np.zeros((d, d, d), dtype=np.complex128)
-    rows[np.arange(d), np.arange(d), np.arange(d)] = 1.0
-    problem = sdp.ConicProblem.build(
-        blocks=[(sdp.PSD, d)],
-        cost=[-rho],
-        rhs=np.ones(d),
-        stacks=[rows],
-    )
+    problem = sdp.ConicProblem.build_unit_diagonal(-rho)
     # strictly feasible start near the closed form (the diagonally dominant
     # start of Helmberg, Rendl, Vanderbei & Wolkowicz 1996): D_cf - rho is
     # diagonally dominant and D_cf >= 0, so the slack D0 - rho >= START_FLOOR;

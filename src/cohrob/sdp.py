@@ -25,12 +25,12 @@ The interior-point loop is dtype-generic: it writes conjugate transposes,
 takes the real part of trace inner products and reads the jitter scale from
 the real diagonal, so one path runs complex Hermitian or real symmetric
 blocks.  The representation, the constraint map A, its adjoint and the Schur
-complement M = A(W A^T(.) W) come from one of two row forms, chosen from the
-data at build time.  The unit-diagonal form, one PSD block of size d whose d
-rows are E_jj (the robustness program's diag(Y) = 1), keeps the d x d block
-complex as a stack of one, reads and writes diagonals and assembles
+complement M = A(W A^T(.) W) come from one of two row forms, set by the
+builder.  The unit-diagonal form (ConicProblem.build_unit_diagonal: the
+robustness program's diag(Y) = 1, its d rows E_jj implicit) keeps the d x d
+block complex as a stack of one, reads and writes diagonals and assembles
 M = |W| o |W| in O(d^2) (the max-cut structure of Helmberg, Rendl,
-Vanderbei and Wolkowicz, SIAM J. Optim. 6, 1996).  Every other problem uses
+Vanderbei and Wolkowicz, SIAM J. Optim. 6, 1996).  ConicProblem.build poses
 the stacked rows on the realified image: complex Hermitian blocks become
 real symmetric blocks of twice the size, and the factor-2 value inflation
 this introduces is divided out when the solution is extracted.  When every
@@ -119,11 +119,10 @@ class ConicProblem:
         size d) or "nonneg" (vector, size n), every PSD block first.
     cost: per block, a Hermitian (d, d) array or a real (n,) array.
     stacks: per block, the m constraint coefficients stacked along axis 0,
-        shaped (m, d, d) complex or (m, n) real.
+        shaped (m, d, d) complex or (m, n) real; none when unit_diagonal.
     rhs: real vector, one entry per constraint.
-    unit_diagonal: derived from the data, never passed: the only block is PSD
-        of size m and row j is E_jj, so the solver takes the unit-diagonal
-        row form.
+    unit_diagonal: set by build_unit_diagonal only: the rows are implicit and
+        the solver takes the unit-diagonal row form.
     shared_stack: derived from the data, never passed: every PSD block has
         the same constraint stack, which the solver then holds once.
     """
@@ -132,11 +131,10 @@ class ConicProblem:
     cost: tuple
     stacks: tuple
     rhs: np.ndarray
-    unit_diagonal: bool = field(init=False, repr=False)
+    unit_diagonal: bool = False
     shared_stack: bool = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "unit_diagonal", _selects_diagonal(self.blocks, self.stacks))
         psd = [st for (k, _), st in zip(self.blocks, self.stacks) if k == PSD]
         object.__setattr__(self, "shared_stack", all(np.array_equal(st, psd[0]) for st in psd[1:]))
 
@@ -146,9 +144,10 @@ class ConicProblem:
 
         Every build checks the shapes, that the PSD blocks come first and all
         have one size (the solver keeps them as one stack), that PSD cost and
-        constraint data are Hermitian within HERMITICITY_TOL, and that the
-        constraints are linearly independent.  The data are stored as given,
-        not symmetrized, so the solver sees exactly the caller's arrays.
+        constraint data are finite and Hermitian within HERMITICITY_TOL, and
+        that the constraints are linearly independent.  The data are stored
+        as given, not symmetrized, so the solver sees exactly the caller's
+        arrays, in the stacked row form.
         """
         blocks = tuple((str(k), int(n)) for k, n in blocks)
         if not blocks:
@@ -174,10 +173,8 @@ class ConicProblem:
                 st = np.asarray(st, dtype=np.complex128)
                 if c.shape != (n, n) or st.shape != (m, n, n):
                     raise ValueError("block data shape mismatch")
-                for what, a in (("cost", c), ("constraint", st)):
-                    dev = float(np.max(np.abs(a - np.swapaxes(a, -1, -2).conj())))
-                    if dev > HERMITICITY_TOL:
-                        raise ValueError(f"{what} data not Hermitian: {dev:.3e}")
+                _check_hermitian("cost", c)
+                _check_hermitian("constraint", st)
             else:
                 c = np.asarray(c, dtype=float).reshape(-1)
                 st = np.asarray(st, dtype=float)
@@ -188,6 +185,16 @@ class ConicProblem:
         problem = ConicProblem(blocks=blocks, cost=tuple(costs), stacks=tuple(checked), rhs=rhs)
         problem._check_independent()
         return problem
+
+    @staticmethod
+    def build_unit_diagonal(cost) -> "ConicProblem":
+        """min <cost, Y> over Y >= 0 with diag(Y) = 1, its d rows E_jj implicit
+        (no stack is held); the cost is checked as build checks PSD data."""
+        c = np.asarray(cost, dtype=np.complex128)
+        if c.ndim != 2 or c.shape[0] != c.shape[1]:
+            raise ValueError(f"cost must be a square matrix, got shape {c.shape}")
+        _check_hermitian("cost", c)
+        return ConicProblem(((PSD, len(c)),), (c,), (), np.ones(len(c)), unit_diagonal=True)
 
     def _check_independent(self):
         m = self.rhs.size
@@ -212,15 +219,14 @@ class ConicProblem:
             raise ValueError(f"constraints are linearly dependent (rank {rank} < {m})")
 
 
-def _selects_diagonal(blocks, stacks) -> bool:
-    """True when the only block is PSD of size d and its d rows are E_jj."""
-    if len(blocks) != 1 or blocks[0][0] != PSD:
-        return False
-    st, d = stacks[0], blocks[0][1]
-    if st.shape != (d, d, d):
-        return False
-    j = np.arange(d)
-    return bool(np.all(st[j, j, j] == 1.0) and np.count_nonzero(st) == d)
+def _check_hermitian(what, a):
+    """Raise unless a, a matrix or a stack, is finite and Hermitian within
+    HERMITICITY_TOL."""
+    if not np.isfinite(a).all():
+        raise ValueError(f"{what} data not finite")
+    dev = float(np.max(np.abs(a - np.swapaxes(a, -1, -2).conj())))
+    if dev > HERMITICITY_TOL:
+        raise ValueError(f"{what} data not Hermitian: {dev:.3e}")
 
 
 @dataclass

@@ -211,19 +211,22 @@ def one_dim_bound_problem():
 def unit_diagonal_problem(rho):
     """max Tr[Y rho] over Y >= 0 with unit diagonal, as a minimization."""
     d = rho.shape[0]
-    rows = np.stack([np.diag(basis_vec).astype(np.complex128) for basis_vec in np.eye(d)])
-    problem = ConicProblem.build(
-        blocks=[(PSD, d)],
-        cost=[-as_hermitian(rho)],
-        rhs=np.ones(d),
-        stacks=[rows],
-    )
+    problem = ConicProblem.build_unit_diagonal(-as_hermitian(rho))
     start = (
         [np.eye(d, dtype=np.complex128)],
         -2.0 * np.ones(d),
         [2.0 * np.eye(d, dtype=np.complex128) - rho],
     )
     return problem, start
+
+
+def stacked_rows(problem):
+    """A unit-diagonal problem posed through ConicProblem.build with its rows
+    E_jj as a constraint stack: the same program in the stacked row form."""
+    d = problem.rhs.size
+    rows = np.zeros((d, d, d), dtype=np.complex128)
+    rows[np.arange(d), np.arange(d), np.arange(d)] = 1.0
+    return ConicProblem.build(problem.blocks, problem.cost, problem.rhs, [rows])
 
 
 def entrywise_roc_problem(rho):
@@ -307,7 +310,14 @@ def residuals(problem, sol):
 def test_optimal_solution_invariants():
     rho = random_state(4, seed=17)
     problem, start = unit_diagonal_problem(rho)
-    sol = solve_or_raise(problem, start=start)
+    # residuals reads the constraint stacks, which the unit-diagonal form does
+    # not hold: both forms' solutions are checked against the stacked build
+    reference = stacked_rows(problem)
+    for sol in (solve_or_raise(problem, start=start), solve_or_raise(reference, start=start)):
+        check_optimal_solution(reference, sol)
+
+
+def check_optimal_solution(problem, sol):
     assert sol.status is SolveStatus.OPTIMAL
     assert sol.gap <= 1e-8
     primal_res, dual_res = residuals(problem, sol)
@@ -339,12 +349,7 @@ def test_weak_duality_along_feasible_path():
 def scaled_cost_solves(rho, lam):
     problem, start = unit_diagonal_problem(rho)
     base = solve_or_raise(problem, start=start)
-    scaled_problem = ConicProblem.build(
-        blocks=problem.blocks,
-        cost=[lam * c for c in problem.cost],
-        rhs=problem.rhs,
-        stacks=problem.stacks,
-    )
+    scaled_problem = ConicProblem.build_unit_diagonal(lam * problem.cost[0])
     x0, y0, s0 = start
     scaled_start = ([b.copy() for b in x0], lam * np.asarray(y0), [lam * b for b in s0])
     scaled = solve_or_raise(scaled_problem, start=scaled_start)
@@ -427,16 +432,27 @@ def test_roc_problem_has_one_row_per_diagonal_entry():
 # -- unit-diagonal row form -------------------------------------------------------------
 
 
-def test_unit_diagonal_form_is_detected_from_the_rows():
+def test_only_the_unit_diagonal_builder_poses_the_unit_diagonal_form():
     rho = random_state(4, seed=3)
-    problem, start = _roc_problem(rho)
-    assert problem.unit_diagonal
+    problem, _ = _roc_problem(rho)
+    assert problem.unit_diagonal and problem.stacks == ()
+    assert problem.blocks == ((PSD, 4),) and np.array_equal(problem.rhs, np.ones(4))
     assert unit_diagonal_problem(rho)[0].unit_diagonal
+    # the same rows E_jj passed to build are a constraint stack like any other
+    assert not stacked_rows(problem).unit_diagonal
     assert not entrywise_roc_problem(rho)[0].unit_diagonal
-    assert not permute_rows(problem, start, np.array([1, 0, 2, 3]))[0].unit_diagonal
-    scaled = ConicProblem.build(problem.blocks, problem.cost, 2.0 * problem.rhs,
-                                [2.0 * problem.stacks[0]])
-    assert not scaled.unit_diagonal
+
+
+@pytest.mark.parametrize("cost", [
+    np.ones((2, 3)),
+    np.ones(3),
+    np.array([[0.0, 1.0], [0.0, 0.0]]),
+    np.array([[np.nan, 0.0], [0.0, 1.0]]),
+    np.array([[np.inf, 0.0], [0.0, 1.0]]),
+], ids=["rectangular", "vector", "not_hermitian", "nan", "inf"])
+def test_unit_diagonal_builder_rejects_bad_cost(cost):
+    with pytest.raises(ValueError):
+        ConicProblem.build_unit_diagonal(cost)
 
 
 def test_games_and_data_programs_take_the_stacked_rows(monkeypatch):
@@ -469,7 +485,7 @@ def test_games_and_data_programs_take_the_stacked_rows(monkeypatch):
 def test_unit_diagonal_rows_match_stacked_assembly(d):
     rng = np.random.default_rng(100 + d)
     problem, _ = _roc_problem(random_state(d, seed=d))
-    fast, ref = sdp._UnitDiagonalRows(problem), sdp._StackedRows(problem)
+    fast, ref = sdp._UnitDiagonalRows(problem), sdp._StackedRows(stacked_rows(problem))
     g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     w = g @ g.conj().T + 0.1 * np.eye(d)  # random Hermitian positive definite
     h = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
@@ -511,15 +527,15 @@ def test_roc_exact_at_benchmark_sizes(rank, d):
     problem, start = _roc_problem(rho)
     sol = solve_or_raise(problem, start=start)
     assert sol.x[0].dtype == np.complex128 and sol.x[0].shape == (d, d)
-    # the same program with its rows permuted takes the realified stacked
-    # rows; its bracket [Tr[Y rho] - 1, Tr D - 1] is the reference.  Both
-    # solves follow the same central path in exact arithmetic and take the
-    # same iterations, so their upper ends differ by roundoff, not by the
-    # 1e-8 gap: at most 1.1e-10 on 180 seeded states, d = 2..32; the margin
-    # below holds at these seeds but not at d = 32, rank 2, seed 40
-    permuted, permuted_start = permute_rows(problem, start, np.roll(np.arange(d), 1))
-    assert not permuted.unit_diagonal
-    ref = solve_or_raise(permuted, start=permuted_start)
+    # the same program posed through build takes the realified stacked rows;
+    # its bracket [Tr[Y rho] - 1, Tr D - 1] is the reference.  Both solves
+    # follow the same central path in exact arithmetic and take the same
+    # iterations, so their upper ends differ by roundoff, not by the 1e-8
+    # gap: at most 2.5e-11 on 180 seeded states (d = 2..32, ranks 1, 2 and
+    # full, seeds 35..40)
+    reference = stacked_rows(problem)
+    assert not reference.unit_diagonal
+    ref = solve_or_raise(reference, start=start)
     assert -ref.primal_value - 1.0 <= cert.value <= -ref.dual_value - 1.0 + 1e-10
 
 
