@@ -55,9 +55,10 @@ def generalized_phase(d: int, k: int) -> np.ndarray:
 
 def _check_priors(priors) -> tuple:
     p = tuple(float(x) for x in priors)
-    if any(x < -PRIOR_SUM_TOL or x > 1.0 + PRIOR_SUM_TOL for x in p):
+    # written as "not within" so that a nan prior or sum fails
+    if not all(-PRIOR_SUM_TOL <= x <= 1.0 + PRIOR_SUM_TOL for x in p):
         raise ValueError("priors must lie in [0, 1]")
-    if abs(sum(p) - 1.0) > PRIOR_SUM_TOL:
+    if not abs(sum(p) - 1.0) <= PRIOR_SUM_TOL:
         raise ValueError(f"priors sum to {sum(p)!r}, not 1")
     return tuple(max(0.0, x) for x in p)
 
@@ -101,7 +102,10 @@ class PhaseGame(_Game):
         if not raw:
             raise ValueError("at least one game entry is required")
         priors = _check_priors([e[0] for e in raw])
-        phases = [float(e[1]) % (2.0 * np.pi) for e in raw]
+        phases = [float(e[1]) for e in raw]
+        if not np.isfinite(phases).all():
+            raise ValueError("phases must be finite")
+        phases = [phi % (2.0 * np.pi) for phi in phases]
         for a in range(len(phases)):
             for b in range(a + 1, len(phases)):
                 delta = abs(phases[a] - phases[b])
@@ -140,6 +144,8 @@ class ChannelGame(_Game):
             ops = tuple(np.asarray(k, dtype=np.complex128) for k in kraus)
             if not ops or any(k.shape != (dim, dim) for k in ops):
                 raise ValueError(f"channel {idx}: Kraus operators must be {dim}x{dim}")
+            if not all(np.isfinite(k).all() for k in ops):
+                raise ValueError(f"channel {idx}: Kraus operators must be finite")
             total = sum(k.conj().T @ k for k in ops)
             dev = float(np.max(np.abs(total - np.eye(dim))))
             if dev > TRACE_PRESERVING_TOL:
@@ -516,7 +522,7 @@ def is_incoherent_instrument(kraus, tol: float = 1e-10) -> bool:
     if not mats:
         return False
     d = mats[0].shape[0]
-    if any(k.shape != (d, d) for k in mats):
+    if any(k.shape != (d, d) or not np.isfinite(k).all() for k in mats):
         return False
     total = sum(k.conj().T @ k for k in mats)
     if float(np.max(np.abs(total - np.eye(d)))) > tol:

@@ -143,9 +143,9 @@ class ConicProblem:
         """Assemble and check a problem.
 
         Every build checks the shapes, that the PSD blocks come first and all
-        have one size (the solver keeps them as one stack), that PSD cost and
-        constraint data are finite and Hermitian within HERMITICITY_TOL, and
-        that the constraints are linearly independent.  The data are stored
+        have one size (the solver keeps them as one stack), that the data are
+        finite, PSD cost and constraint data Hermitian within HERMITICITY_TOL,
+        and that the constraints are linearly independent.  The data are stored
         as given, not symmetrized, so the solver sees exactly the caller's
         arrays, in the stacked row form.
         """
@@ -165,6 +165,8 @@ class ConicProblem:
         m = rhs.size
         if m < 1:
             raise ValueError("at least one constraint is required")
+        if not np.isfinite(rhs).all():
+            raise ValueError("rhs data not finite")
 
         costs, checked = [], []
         for c, st, (k, n) in zip(cost, stacks, blocks, strict=True):
@@ -180,6 +182,8 @@ class ConicProblem:
                 st = np.asarray(st, dtype=float)
                 if c.shape != (n,) or st.shape != (m, n):
                     raise ValueError("block data shape mismatch")
+                if not (np.isfinite(c).all() and np.isfinite(st).all()):
+                    raise ValueError("nonneg block data not finite")
             costs.append(c)
             checked.append(st)
         problem = ConicProblem(blocks=blocks, cost=tuple(costs), stacks=tuple(checked), rhs=rhs)

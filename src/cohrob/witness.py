@@ -315,6 +315,34 @@ def _pinned_state(data: WitnessDataset, slack: np.ndarray, state: np.ndarray):
     return pure if _deviation(data, slack, pure) <= FEASIBILITY_TOL else None
 
 
+def _independent_rows(data: WitnessDataset) -> WitnessDataset:
+    """data without the observables that the identity and the observables
+    kept before them span; data itself when every observable is kept.
+
+    An observable is dropped when its squared distance to that span is at
+    most GRAM_RANK_TOL times the largest squared norm of the identity and
+    the observables.  That distance bounds the smallest singular value of
+    _joint_problem's rows, so ConicProblem.build refuses every dataset that
+    loses an observable here, and one it accepts keeps the same program.
+    """
+    rows = [np.eye(data.dim), *data.observables]
+    flat = np.array([np.concatenate([r.real.ravel(), r.imag.ravel()]) for r in rows])
+    gram = flat @ flat.T
+    floor = sdp.GRAM_RANK_TOL * float(np.max(np.diag(gram)))
+    if float(np.linalg.eigvalsh(gram)[0]) > floor:  # each distance is at least lambda_min
+        return data
+    kept = [0]
+    for i in range(1, len(rows)):
+        span = flat[kept].T
+        residual = flat[i] - span @ np.linalg.lstsq(span, flat[i], rcond=None)[0]
+        if float(residual @ residual) > floor:
+            kept.append(i)
+    if len(kept) == len(rows):
+        return data
+    return WitnessDataset(dim=data.dim, observables=tuple(rows[i] for i in kept[1:]),
+                          expectations=tuple(data.expectations[i - 1] for i in kept[1:]))
+
+
 def _joint_problem(data: WitnessDataset, slack: np.ndarray) -> sdp.ConicProblem:
     """min Tr Z + Tr rho over Z, rho >= 0 with Z + rho diagonal, Tr rho = 1
     and the observable rows.
@@ -412,6 +440,11 @@ def min_roc_from_data(data: WitnessDataset, slack=0.0, tol: float = 1e-8) -> Dat
     lower - delta * sensitivity <= upper <= lower + CROSS_CHECK_TOL; the
     value is then upper, the robustness bound of that state.  Otherwise
     the SolverError is raised.
+
+    Exact data (no slack) whose observables and the identity are linearly
+    dependent pose the joint program on _independent_rows, and the state
+    it returns must match every observable within FEASIBILITY_TOL, else
+    SolverError.
     """
     k = len(data.observables)
     slack_arr = np.broadcast_to(np.asarray(slack, dtype=float), (k,)).copy()
@@ -427,18 +460,25 @@ def min_roc_from_data(data: WitnessDataset, slack=0.0, tol: float = 1e-8) -> Dat
         return DataRocResult(value=value if value > VALUE_FLOOR else 0.0, state=pinned,
                              deviation=deviation)
 
-    problem = _joint_problem(data, slack_arr)
+    # only the exact program lacks a surplus variable per observable row, so
+    # it alone drops the rows that others span; phase 1 checked every row
+    kept = _independent_rows(data) if not np.any(slack_arr > 0.0) else data
+    kept_slack = slack_arr[:len(kept.observables)]
+    problem = _joint_problem(kept, kept_slack)
     try:
         sol, value = solve_robustness(problem, None, tol,
                                       lambda sol: float(sol.primal_value) - 1.0)
+        state = as_density(sol.x[1] / float(np.trace(sol.x[1]).real))
     except sdp.SolverError as exc:
         # a stalled solve answers from its best iterate when the bracket closes
-        lower, upper, state, sensitivity = _joint_bracket(data, slack_arr, exc.solution)
-        delta = _deviation(data, slack_arr, state)
+        lower, upper, state, sensitivity = _joint_bracket(kept, kept_slack, exc.solution)
+        delta = _deviation(kept, kept_slack, state)
         if not (delta <= FEASIBILITY_TOL
                 and lower - delta * sensitivity <= upper <= lower + CROSS_CHECK_TOL):
             raise
-        return DataRocResult(value=upper if upper > VALUE_FLOOR else 0.0, state=state,
-                             deviation=deviation)
-    state = as_density(sol.x[1] / float(np.trace(sol.x[1]).real))
+        value = upper if upper > VALUE_FLOOR else 0.0
+    if kept is not data:
+        delta = _deviation(data, slack_arr, state)
+        if not delta <= FEASIBILITY_TOL:
+            raise sdp.SolverError(f"the state misses a dropped observable row by {delta:.3e}")
     return DataRocResult(value=value, state=state, deviation=deviation)

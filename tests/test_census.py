@@ -83,13 +83,17 @@ FIXED = {
     319: ["r4/consistent/d2"],
     342: ["r12/consistent/d3"],
 }
-# cases that fail today (the joint program stalls on a thin consistent set
-# and its bracket does not close); a case that is fixed comes off this list
+# cases that fail today; a case that is fixed comes off this list.  All but
+# seed 44 stall in the joint program on a thin consistent set, and its
+# bracket does not close; seed 44's observables and the identity are nearly
+# dependent (least singular value 2e-4), which ConicProblem.build refuses
 KNOWN_FAILING = {
     14: ["r0/consistent/d2"],
     30: ["r0/consistent/d5"],
     37: ["r14/consistent/d2"],
+    44: ["r5/consistent/d2"],
     101: ["r8/consistent/d2"],
+    2303: ["r4/consistent/d3"],
 }
 
 

@@ -237,6 +237,19 @@ def test_min_roc_from_data_and_slack(tmp_path, capsys):
     assert loose["min_roc"] == 0.0
 
 
+def test_min_roc_answers_an_observable_listed_twice(tmp_path, capsys):
+    rho = random_state(3, seed=11)
+    obs = [np.diag([1.0, -1.0, 0.0]), np.ones((3, 3))]
+    data = WitnessDataset.from_state(rho, [obs[0], obs[1], obs[0]])
+    twin = WitnessDataset.from_state(rho, obs)
+    outputs = []
+    for name, ds in (("twice.json", data), ("twin.json", twin)):
+        path = write_json(tmp_path / name, dataset_to_json(ds))
+        assert cli.main(["min-roc-from-data", "--json", path]) == 0
+        outputs.append(json.loads(capsys.readouterr().out)["min_roc"])
+    assert outputs[0] == outputs[1]
+
+
 def test_min_roc_inconsistent_data_exit_four(tmp_path, capsys):
     data = {"dim": 2, "observables": [matrix_to_json(PAULI_X)], "expectations": [2.0]}
     path = write_json(tmp_path / "bad.json", data)

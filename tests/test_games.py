@@ -70,12 +70,26 @@ def test_phase_game_validates_priors_and_distinctness():
         PhaseGame.build(2, [])
     with pytest.raises(ValueError):
         PhaseGame.build(1, [(1.0, 0.0)])
+    for bad in (np.nan, np.inf, -np.inf):
+        for entries in ([(bad, 0.0), (0.5, 1.0)], [(bad, 0.0), (1.0, 1.0)]):
+            with pytest.raises(ValueError, match="priors"):
+                PhaseGame.build(2, entries)
+        with pytest.raises(ValueError, match="phases must be finite"):
+            PhaseGame.build(2, [(0.5, bad), (0.5, 1.0)])
 
 
 def test_channel_game_requires_trace_preservation():
     half = [np.eye(2) / 2]
     with pytest.raises(ValueError, match="trace preserving"):
         ChannelGame.build(2, [(1.0, half)])
+    for bad in (np.nan, np.inf):
+        kraus = np.eye(2, dtype=complex)
+        kraus[0, 1] = bad
+        with pytest.raises(ValueError, match="must be finite"):
+            ChannelGame.build(2, [(0.5, [kraus]), (0.5, [np.eye(2)])])
+        assert not is_incoherent_instrument([kraus])
+        with pytest.raises(ValueError, match="priors"):
+            ChannelGame.build(2, [(bad, [np.eye(2)]), (0.5, [np.eye(2)])])
     kraus = [np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)]
     game = ChannelGame.build(2, [(0.4, kraus), (0.6, [np.eye(2)])])
     assert game.priors.tolist() == [0.4, 0.6]

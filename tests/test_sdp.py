@@ -163,6 +163,20 @@ def test_build_rejects_nonhermitian_coefficient():
         )
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("spot", ["psd_cost", "nonneg_cost", "rhs", "psd_stack", "nonneg_stack"])
+def test_build_rejects_non_finite_data(spot, bad):
+    # one_dim_bound_problem's data with one entry made non-finite
+    cost = [np.array([[1.0]]), np.zeros(1)]
+    stacks = [np.ones((1, 1, 1)), np.array([[-1.0]])]
+    rhs = np.ones(1)
+    target = {"psd_cost": cost[0], "nonneg_cost": cost[1], "rhs": rhs,
+              "psd_stack": stacks[0], "nonneg_stack": stacks[1]}[spot]
+    target.flat[0] = bad
+    with pytest.raises(ValueError, match="not finite"):
+        ConicProblem.build(blocks=[(PSD, 1), (NONNEG, 1)], cost=cost, rhs=rhs, stacks=stacks)
+
+
 def test_build_rejects_shape_mismatch_and_empty():
     with pytest.raises(ValueError):
         ConicProblem.build(blocks=[(PSD, 2)], cost=[np.eye(3)], rhs=[1.0],

@@ -23,6 +23,7 @@ from cohrob.witness import (
     InvalidWitnessError,
     WitnessDataset,
     _deviation,
+    _independent_rows,
     _joint_bracket,
     _joint_problem,
     best_witness_from_data,
@@ -291,6 +292,36 @@ def test_min_roc_overflow_is_a_solver_failure(load_fixture, recorded_solves):
     assert abs(roc_exact(result.state).value - result.value) < 1e-8  # 2.7e-9, both at tol 1e-8
     for obs, o_val in zip(data.observables, data.expectations):
         assert abs(np.trace(obs @ result.state).real - o_val) <= 1e-7 + 1e-7  # tolerance + slack
+
+
+def _dependent_twins(extra):
+    """A d = 3 dataset whose observables and the identity are linearly
+    dependent (one observable listed twice, or the identity measured), and
+    its twin without the extra row."""
+    rng = np.random.default_rng(7)
+    g = rng.normal(size=(3, 3, 3)) + 1j * rng.normal(size=(3, 3, 3))
+    obs = [as_hermitian(a + a.conj().T) for a in g]
+    rho = random_state(3, seed=11)
+    listed = [obs[0], obs[1], obs[0] if extra == "repeated" else np.eye(3), obs[2]]
+    return WitnessDataset.from_state(rho, listed), WitnessDataset.from_state(rho, obs)
+
+
+@pytest.mark.parametrize("extra", ["repeated", "identity"])
+def test_min_roc_dependent_rows_give_the_twin_value(extra):
+    # the exact joint program has no surplus variable per row, so the rows
+    # that the identity and earlier observables span are dropped before it
+    # is built; the returned state is checked against every row
+    data, twin = _dependent_twins(extra)
+    with pytest.raises(ValueError, match="linearly dependent"):
+        _joint_problem(data, np.zeros(4))
+    kept = _independent_rows(data)
+    assert len(kept.observables) == 3 and _independent_rows(twin) is twin
+    result = min_roc_from_data(data)
+    assert result.value == min_roc_from_data(twin).value
+    assert _deviation(data, np.zeros(4), result.state) <= FEASIBILITY_TOL
+    # with slack every row has its surplus variables, so nothing is dropped
+    assert abs(min_roc_from_data(data, slack=0.01).value
+               - min_roc_from_data(twin, slack=0.01).value) < 1e-6
 
 
 def test_min_roc_inconsistent_data_raises():
