@@ -126,7 +126,6 @@ def _cmd_witness_from_data(args) -> int:
         "bound": fit.bound,
         "coefficients": fit.coefficients.tolist(),
         "offset": fit.offset,
-        "box_active": fit.box_active,
     }
     coeff_text = " ".join(f"{c:.6f}" for c in fit.coefficients)
     _emit(args, payload,

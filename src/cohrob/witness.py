@@ -24,7 +24,6 @@ from .roc import VALUE_FLOOR, solve_robustness
 
 DIAG_TOL = 1e-10
 EIG_TOL = 1e-10
-COEFF_BOX = 1e6
 FEASIBILITY_TOL = 1e-7
 
 
@@ -142,80 +141,119 @@ class WitnessDataset:
 # -- best witness compatible with a dataset --------------------------------------
 
 
+def _realified_rows(data: WitnessDataset) -> np.ndarray:
+    """The identity and the observables as rows of their real and imaginary
+    parts: row . (Re X, Im X) is Tr X, then Tr[O_i X], for Hermitian X."""
+    rows = np.stack([np.eye(data.dim, dtype=np.complex128), *data.observables])
+    return np.concatenate([rows.real.reshape(len(rows), -1),
+                           rows.imag.reshape(len(rows), -1)], axis=1)
+
+
+def _independent_rows(data: WitnessDataset) -> tuple:
+    """(kept, index): data without the observables that the identity and the
+    observables kept before them span (data itself when every observable is
+    kept), and the positions in data of the kept observables.
+
+    An observable is dropped when its squared distance to that span is at
+    most GRAM_RANK_TOL times the largest squared norm of the identity and
+    the observables.  That distance bounds the smallest singular value of
+    the rows of _joint_problem and of the witness fit, so ConicProblem.build
+    refuses every dataset that loses an observable here, and one it accepts
+    keeps the same program.
+    """
+    flat = _realified_rows(data)
+    gram = flat @ flat.T
+    floor = sdp.GRAM_RANK_TOL * float(np.max(np.diag(gram)))
+    kept = list(range(len(flat)))
+    if float(np.linalg.eigvalsh(gram)[0]) <= floor:  # each distance is at least lambda_min
+        kept = [0]
+        for i in range(1, len(flat)):
+            span = flat[kept].T
+            residual = flat[i] - span @ np.linalg.lstsq(span, flat[i], rcond=None)[0]
+            if float(residual @ residual) > floor:
+                kept.append(i)
+    index = [i - 1 for i in kept[1:]]
+    if len(kept) == len(flat):
+        return data, index
+    return WitnessDataset(dim=data.dim, observables=tuple(data.observables[i] for i in index),
+                          expectations=tuple(data.expectations[i] for i in index)), index
+
+
+def _least_squares_point(data: WitnessDataset) -> np.ndarray:
+    """sigma_ls: the unit-trace Hermitian matrix nearest 1/d in Frobenius
+    norm with Tr[O_i sigma] = o_i, for data whose observables and the
+    identity are independent (one least-squares solve)."""
+    d = data.dim
+    flat = _realified_rows(data)
+    centre = np.eye(d) / d
+    target = np.array([1.0, *data.expectations]) - flat[:, :d * d] @ centre.ravel()
+    step = np.linalg.lstsq(flat, target, rcond=None)[0]
+    step = (step[:d * d] + 1j * step[d * d:]).reshape(d, d)
+    return centre + 0.5 * (step + step.conj().T)  # the rows see only the Hermitian part
+
+
 @dataclass(frozen=True)
 class WitnessFit:
-    """Best data-built witness: W = sum_i c_i O_i + m * identity."""
+    """Best data-built witness: W = sum_i c_i O_i + m * identity, with one
+    coefficient per observable of the dataset (0 for a dropped one)."""
 
     bound: float
     coefficients: np.ndarray
     offset: float
     witness: np.ndarray
-    box_active: bool
 
 
 def best_witness_from_data(data: WitnessDataset, tol: float = 1e-8) -> WitnessFit:
     """Maximize -(sum_i c_i o_i + m) over valid witnesses sum c_i O_i + m*1.
 
-    The witness coefficients live in the solver's dual vector: each equality
-    row corresponds to one coefficient, the PSD block enforces W <= 1, the
-    first nonnegative block enforces the nonnegative diagonal, and two box
-    blocks cap |c_i|, |m| at 1e6 for numerical safety (flagged if active).
+    The witness coefficients live in the solver's dual vector: one row per
+    observable of _independent_rows(data) and one for the identity (the
+    offset), a PSD d block for W <= 1 and a nonnegative d block for
+    diag W >= 0.  The primal, min Tr X over X >= 0 and x >= 0 with
+    Tr[O_i X] - <diag O_i, x> = -o_i and Tr X - sum x = -1, is strictly
+    feasible at X = t*1 - sigma_ls, x = t with t = lambda_max(sigma_ls) + 1
+    (_least_squares_point), the solve's start with the dual point c = 0,
+    m = 1/2.  A dropped observable gets coefficient 0.  When no Hermitian
+    matrix matches every row, the data are checked by phase 1 and
+    InfeasibleDataError carries its deviation, as in min_roc_from_data.
 
     The solve is checked outside the engine before anything is returned: the
     witness must pass validate_witness, else SolverError names the failing
     quantity.  The bound is recomputed from the data, -(sum_i c_i o_i + m).
     """
     d, k = data.dim, len(data.observables)
-    basis_rows = list(data.observables) + [np.eye(d, dtype=np.complex128)]
-    rhs = np.array([-o for o in data.expectations] + [-1.0])
+    kept, index = _independent_rows(data)
+    sigma = _least_squares_point(kept)
+    if _deviation(data, np.zeros(k), sigma) > FEASIBILITY_TOL:
+        deviation, _ = _phase1_deviation(data, np.zeros(k), tol)
+        if deviation > FEASIBILITY_TOL:
+            raise InfeasibleDataError(deviation)
 
-    psd_stack = np.stack(basis_rows)
-    diag_stack = -np.stack([np.diag(o).real for o in basis_rows])
-    box_up = np.eye(k + 1)
-    box_dn = -np.eye(k + 1)
-
+    n = len(index)
+    eye = np.eye(d, dtype=np.complex128)
+    rows = np.stack([*kept.observables, eye])
     problem = sdp.ConicProblem.build(
-        blocks=[(sdp.PSD, d), (sdp.NONNEG, d), (sdp.NONNEG, k + 1), (sdp.NONNEG, k + 1)],
-        cost=[np.eye(d, dtype=np.complex128), np.zeros(d),
-              np.full(k + 1, COEFF_BOX), np.full(k + 1, COEFF_BOX)],
-        rhs=rhs,
-        stacks=(psd_stack, diag_stack, box_up, box_dn),
+        blocks=[(sdp.PSD, d), (sdp.NONNEG, d)],
+        cost=[eye, np.zeros(d)],
+        rhs=-np.array([*kept.expectations, 1.0]),
+        stacks=(rows, -np.diagonal(rows, axis1=1, axis2=2).real),
     )
-
-    # strictly interior, equality-feasible start
-    traces = np.array([float(np.trace(o).real) for o in data.observables] + [float(d)])
-    resid = traces + rhs            # value of x3 - x4 needed at X1 = identity, x2 = 2
-    x3 = np.maximum(resid, 0.0) + 1.0
-    x4 = x3 - resid
-    y0 = np.zeros(k + 1)
-    y0[k] = 0.5
-    start = (
-        [np.eye(d, dtype=np.complex128), 2.0 * np.ones(d), x3, x4],
-        y0,
-        [0.5 * np.eye(d, dtype=np.complex128), 0.5 * np.ones(d),
-         np.full(k + 1, COEFF_BOX) - y0, np.full(k + 1, COEFF_BOX) + y0],
-    )
+    t = float(jacobi_eigvalsh(sigma)[-1]) + 1.0
+    start = ([t * eye - sigma, np.full(d, t)], np.append(np.zeros(n), 0.5),
+             [0.5 * eye, np.full(d, 0.5)])
     sol = sdp.solve_or_raise(problem, tol=tol, start=start)
 
-    coeffs = sol.y[:k].copy()
-    offset = float(sol.y[k])
-    witness = sum(c * o for c, o in zip(coeffs, data.observables))
-    witness = as_hermitian(witness + offset * np.eye(d))
-    box_active = bool(np.max(np.abs(sol.y)) >= 0.999 * COEFF_BOX)
+    coeffs = np.zeros(k)
+    coeffs[index] = sol.y[:n]
+    offset = float(sol.y[n])
+    witness = as_hermitian(sum(c * o for c, o in zip(coeffs, data.observables)) + offset * eye)
     report = validate_witness(witness)
     if not report.valid:
-        raise sdp.SolverError(
-            f"fitted witness is invalid: diag_min={report.diag_min:.3e}, "
-            f"eig_excess={report.eig_excess:.3e}"
-        )
+        raise sdp.SolverError(f"fitted witness is invalid: diag_min={report.diag_min:.3e}, "
+                              f"eig_excess={report.eig_excess:.3e}")
     bound = -(float(coeffs @ np.asarray(data.expectations)) + offset)
-    return WitnessFit(
-        bound=max(0.0, bound),
-        coefficients=coeffs,
-        offset=offset,
-        witness=witness,
-        box_active=box_active,
-    )
+    return WitnessFit(bound=max(0.0, bound), coefficients=coeffs, offset=offset,
+                      witness=witness)
 
 
 # -- minimal robustness compatible with a dataset ---------------------------------
@@ -253,23 +291,14 @@ def _phase1_deviation(data: WitnessDataset, slack: np.ndarray, tol: float) -> tu
     state, scaled to trace 1, is accepted when _deviation puts it within
     FEASIBILITY_TOL of the data, and that deviation is reported."""
     d, k = data.dim, len(data.observables)
-    m = 2 * k + 1
-    psd_stack = np.zeros((m, d, d), dtype=np.complex128)
-    u_stack = np.zeros((m, k))
-    v_stack = np.zeros((m, k))
-    eta_stack = np.zeros((m, 1))
-    rhs = np.zeros(m)
-    for i, (obs, o_val) in enumerate(zip(data.observables, data.expectations)):
-        psd_stack[i] = obs
-        u_stack[i, i] = 1.0
-        eta_stack[i, 0] = -1.0
-        rhs[i] = o_val + slack[i]
-        psd_stack[k + i] = obs
-        v_stack[k + i, i] = -1.0
-        eta_stack[k + i, 0] = 1.0
-        rhs[k + i] = o_val - slack[i]
-    psd_stack[2 * k] = np.eye(d)
-    rhs[2 * k] = 1.0
+    obs, vals, i = np.stack(data.observables), np.asarray(data.expectations), np.arange(k)
+    psd_stack = np.concatenate([obs, obs, np.eye(d, dtype=np.complex128)[None]])
+    u_stack = np.zeros((2 * k + 1, k))
+    u_stack[i, i] = 1.0
+    v_stack = np.zeros((2 * k + 1, k))
+    v_stack[k + i, i] = -1.0
+    eta_stack = np.concatenate([-np.ones(k), np.ones(k), [0.0]])[:, None]
+    rhs = np.concatenate([vals + slack, vals - slack, [1.0]])
 
     problem = sdp.ConicProblem.build(
         blocks=[(sdp.PSD, d), (sdp.NONNEG, k), (sdp.NONNEG, k), (sdp.NONNEG, 1)],
@@ -277,10 +306,8 @@ def _phase1_deviation(data: WitnessDataset, slack: np.ndarray, tol: float) -> tu
         rhs=rhs,
         stacks=(psd_stack, u_stack, v_stack, eta_stack),
     )
-    resid = np.array([r - float(np.trace(o).real) / d
-                      for r, o in zip(rhs[:k], data.observables)])
-    resid2 = np.array([r - float(np.trace(o).real) / d
-                       for r, o in zip(rhs[k:2 * k], data.observables)])
+    traces = np.array([float(np.trace(o).real) for o in data.observables]) / d
+    resid, resid2 = rhs[:k] - traces, rhs[k:2 * k] - traces
     eta0 = float(max(np.max(np.abs(resid)), np.max(np.abs(resid2)))) + 1.0
     eps = min(0.1, 0.25 / k)
     y0 = np.concatenate([-eps * np.ones(k), eps * np.ones(k), [-1.0]])
@@ -313,34 +340,6 @@ def _pinned_state(data: WitnessDataset, slack: np.ndarray, state: np.ndarray):
         return None
     pure = np.outer(vecs[:, -1], vecs[:, -1].conj())
     return pure if _deviation(data, slack, pure) <= FEASIBILITY_TOL else None
-
-
-def _independent_rows(data: WitnessDataset) -> WitnessDataset:
-    """data without the observables that the identity and the observables
-    kept before them span; data itself when every observable is kept.
-
-    An observable is dropped when its squared distance to that span is at
-    most GRAM_RANK_TOL times the largest squared norm of the identity and
-    the observables.  That distance bounds the smallest singular value of
-    _joint_problem's rows, so ConicProblem.build refuses every dataset that
-    loses an observable here, and one it accepts keeps the same program.
-    """
-    rows = [np.eye(data.dim), *data.observables]
-    flat = np.array([np.concatenate([r.real.ravel(), r.imag.ravel()]) for r in rows])
-    gram = flat @ flat.T
-    floor = sdp.GRAM_RANK_TOL * float(np.max(np.diag(gram)))
-    if float(np.linalg.eigvalsh(gram)[0]) > floor:  # each distance is at least lambda_min
-        return data
-    kept = [0]
-    for i in range(1, len(rows)):
-        span = flat[kept].T
-        residual = flat[i] - span @ np.linalg.lstsq(span, flat[i], rcond=None)[0]
-        if float(residual @ residual) > floor:
-            kept.append(i)
-    if len(kept) == len(rows):
-        return data
-    return WitnessDataset(dim=data.dim, observables=tuple(rows[i] for i in kept[1:]),
-                          expectations=tuple(data.expectations[i - 1] for i in kept[1:]))
 
 
 def _joint_problem(data: WitnessDataset, slack: np.ndarray) -> sdp.ConicProblem:
@@ -462,7 +461,7 @@ def min_roc_from_data(data: WitnessDataset, slack=0.0, tol: float = 1e-8) -> Dat
 
     # only the exact program lacks a surplus variable per observable row, so
     # it alone drops the rows that others span; phase 1 checked every row
-    kept = _independent_rows(data) if not np.any(slack_arr > 0.0) else data
+    kept = _independent_rows(data)[0] if not np.any(slack_arr > 0.0) else data
     kept_slack = slack_arr[:len(kept.observables)]
     problem = _joint_problem(kept, kept_slack)
     try:

@@ -16,6 +16,7 @@ from cohrob.sdp import SolverError
 from cohrob.witness import WitnessDataset
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]])
+PAULI_Z = np.diag([1.0, -1.0])
 
 
 def write_json(path, obj):
@@ -223,7 +224,19 @@ def test_witness_from_data(tmp_path, capsys):
     assert cli.main(["witness-from-data", "--json", path]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert abs(payload["bound"] - 1.0) < 1e-6
-    assert payload["box_active"] is False
+    assert set(payload) == {"bound", "coefficients", "offset"}
+
+
+def test_witness_from_data_contradictory_rows_exit_four(tmp_path, capsys):
+    # diag(1, 3) = 2*1 - Z, so no Hermitian matrix matches both expectations
+    data = WitnessDataset.build([PAULI_Z, np.diag([1.0, 3.0])], [0.2, 1.7])
+    path = write_json(tmp_path / "contradictory.json", dataset_to_json(data))
+    assert cli.main(["witness-from-data", path]) == 4
+    fit_err = capsys.readouterr().err
+    assert cli.main(["min-roc-from-data", path]) == 4
+    assert fit_err == capsys.readouterr().err == (
+        "no state matches the expectations: smallest achievable worst-case "
+        "deviation is 5.000e-02\n")
 
 
 def test_min_roc_from_data_and_slack(tmp_path, capsys):

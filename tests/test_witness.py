@@ -149,14 +149,12 @@ def test_best_witness_x_dataset_matches_grid_scan(load_fixture):
     assert abs(fit.coefficients[0] - fix["optimizer"]["c"]) < 1e-3
     assert abs(fit.offset - fix["optimizer"]["m"]) < 1e-3
     assert validate_witness(fit.witness).valid
-    assert not fit.box_active
 
 
 def test_best_witness_diagonal_observables_no_signal():
     data = WitnessDataset.from_state(np.diag([0.6, 0.4]), [PAULI_Z, np.diag([1.0, 3.0])])
     fit = best_witness_from_data(data)
     assert fit.bound == 0.0
-    assert not fit.box_active
 
 
 def test_best_witness_maximally_mixed_no_signal():
@@ -166,13 +164,16 @@ def test_best_witness_maximally_mixed_no_signal():
     assert fit.bound == 0.0
 
 
-def test_best_witness_inconsistent_data_hits_coefficient_box():
-    # no state satisfies both expectations; the program value runs away and
-    # is stopped only by the coefficient box, which must be flagged
+def test_best_witness_contradictory_dependent_rows_raise():
+    # diag(1, 3) = 2*1 - Z, so its expectation must be 1.8: no Hermitian
+    # matrix matches both rows, and the fit raises what min_roc_from_data does
     data = WitnessDataset.build([PAULI_Z, np.diag([1.0, 3.0])], [0.2, 1.7])
-    fit = best_witness_from_data(data)
-    assert fit.box_active
-    assert fit.bound > 1e4
+    with pytest.raises(InfeasibleDataError) as fit_err:
+        best_witness_from_data(data)
+    with pytest.raises(InfeasibleDataError) as roc_err:
+        min_roc_from_data(data)
+    assert fit_err.value.deviation == roc_err.value.deviation
+    assert abs(fit_err.value.deviation - 0.05) < 1e-6
 
 
 def test_best_witness_output_is_valid_witness():
@@ -268,6 +269,13 @@ def test_min_roc_pinned_pure_qutrit(seed, recorded_solves):
     assert abs(result.value - l1_coherence(rho)) < 1e-6
     assert np.max(np.abs(result.state - rho)) < 1e-6
     assert len(recorded_solves) == 1  # phase 1 only: the value is a closed form
+    # the joint program has no interior point here, but the fit's start is
+    # interior whatever the data
+    fit = best_witness_from_data(data)
+    assert validate_witness(fit.witness).valid
+    assert fit.bound <= l1_coherence(rho) + 1e-7
+    _, fit_solve = recorded_solves[1]
+    assert fit_solve.status is sdp.SolveStatus.OPTIMAL
 
 
 def test_min_roc_pinned_data_with_slack_is_not_pinned():
@@ -314,11 +322,17 @@ def test_min_roc_dependent_rows_give_the_twin_value(extra):
     data, twin = _dependent_twins(extra)
     with pytest.raises(ValueError, match="linearly dependent"):
         _joint_problem(data, np.zeros(4))
-    kept = _independent_rows(data)
-    assert len(kept.observables) == 3 and _independent_rows(twin) is twin
+    kept, index = _independent_rows(data)
+    assert len(kept.observables) == 3 and index == [0, 1, 3]
+    assert _independent_rows(twin)[0] is twin
     result = min_roc_from_data(data)
     assert result.value == min_roc_from_data(twin).value
     assert _deviation(data, np.zeros(4), result.state) <= FEASIBILITY_TOL
+    # the fit drops the same row, whose coefficient is exactly 0
+    fit, twin_fit = best_witness_from_data(data), best_witness_from_data(twin)
+    assert fit.bound == twin_fit.bound
+    assert fit.coefficients[2] == 0.0
+    assert np.array_equal(np.delete(fit.coefficients, 2), twin_fit.coefficients)
     # with slack every row has its surplus variables, so nothing is dropped
     assert abs(min_roc_from_data(data, slack=0.01).value
                - min_roc_from_data(twin, slack=0.01).value) < 1e-6
