@@ -20,7 +20,7 @@ from . import sdp
 from .games import CROSS_CHECK_TOL
 from .linalg import (as_density, as_hermitian, dephase, jacobi_eigh, jacobi_eigvalsh,
                      l1_coherence)
-from .roc import VALUE_FLOOR, solve_robustness
+from .roc import VALUE_FLOOR, roc_exact, solve_robustness
 
 DIAG_TOL = 1e-10
 EIG_TOL = 1e-10
@@ -182,7 +182,9 @@ def _independent_rows(data: WitnessDataset) -> tuple:
 def _least_squares_point(data: WitnessDataset) -> np.ndarray:
     """sigma_ls: the unit-trace Hermitian matrix nearest 1/d in Frobenius
     norm with Tr[O_i sigma] = o_i, for data whose observables and the
-    identity are independent (one least-squares solve)."""
+    identity are independent (one least-squares solve).  When the identity
+    and the observables number d^2, they span the Hermitian matrices, and
+    sigma_ls is the only matrix that matches the data."""
     d = data.dim
     flat = _realified_rows(data)
     centre = np.eye(d) / d
@@ -190,6 +192,21 @@ def _least_squares_point(data: WitnessDataset) -> np.ndarray:
     step = np.linalg.lstsq(flat, target, rcond=None)[0]
     step = (step[:d * d] + 1j * step[d * d:]).reshape(d, d)
     return centre + 0.5 * (step + step.conj().T)  # the rows see only the Hermitian part
+
+
+def _least_squares_deviation(data: WitnessDataset, slack: np.ndarray) -> tuple:
+    """(kept, index, sigma, deviation): _independent_rows(data), sigma_ls of
+    the kept rows, and _deviation(data, slack, sigma) over every row of data,
+    dropped ones included.
+
+    deviation <= FEASIBILITY_TOL shows, outside any solve, that a unit-trace
+    Hermitian matrix matches the data.  When lambda_min(sigma) exceeds
+    FEASIBILITY_TOL as well, sigma is a full-rank state that matches them:
+    the data are consistent, and they pin no pure state.
+    """
+    kept, index = _independent_rows(data)
+    sigma = _least_squares_point(kept)
+    return kept, index, sigma, _deviation(data, slack, sigma)
 
 
 @dataclass(frozen=True)
@@ -213,8 +230,8 @@ def best_witness_from_data(data: WitnessDataset, tol: float = 1e-8) -> WitnessFi
     Tr[O_i X] - <diag O_i, x> = -o_i and Tr X - sum x = -1, is strictly
     feasible at X = t*1 - sigma_ls, x = t with t = lambda_max(sigma_ls) + 1
     (_least_squares_point), the solve's start with the dual point c = 0,
-    m = 1/2.  A dropped observable gets coefficient 0.  When no Hermitian
-    matrix matches every row, the data are checked by phase 1 and
+    m = 1/2.  A dropped observable gets coefficient 0.  When sigma_ls misses
+    a row (_least_squares_deviation), the data are checked by phase 1 and
     InfeasibleDataError carries its deviation, as in min_roc_from_data.
 
     The solve is checked outside the engine before anything is returned: the
@@ -222,12 +239,9 @@ def best_witness_from_data(data: WitnessDataset, tol: float = 1e-8) -> WitnessFi
     quantity.  The bound is recomputed from the data, -(sum_i c_i o_i + m).
     """
     d, k = data.dim, len(data.observables)
-    kept, index = _independent_rows(data)
-    sigma = _least_squares_point(kept)
-    if _deviation(data, np.zeros(k), sigma) > FEASIBILITY_TOL:
-        deviation, _ = _phase1_deviation(data, np.zeros(k), tol)
-        if deviation > FEASIBILITY_TOL:
-            raise InfeasibleDataError(deviation)
+    kept, index, sigma, deviation = _least_squares_deviation(data, np.zeros(k))
+    if deviation > FEASIBILITY_TOL:
+        _phase1_deviation(data, np.zeros(k), tol)  # raises unless a state matches
 
     n = len(index)
     eye = np.eye(d, dtype=np.complex128)
@@ -285,7 +299,8 @@ def _unit_trace_psd_part(x: np.ndarray) -> tuple:
 
 def _phase1_deviation(data: WitnessDataset, slack: np.ndarray, tol: float) -> tuple:
     """Smallest worst-case |Tr[O_i rho'] - o_i| - slack_i over states rho',
-    and a state that attains it.
+    floored at 0, and a state that attains it; InfeasibleDataError when that
+    deviation exceeds FEASIBILITY_TOL.
 
     A solve that stalls answers from its best iterate: the PSD part of its
     state, scaled to trace 1, is accepted when _deviation puts it within
@@ -319,7 +334,10 @@ def _phase1_deviation(data: WitnessDataset, slack: np.ndarray, tol: float) -> tu
     )
     sol = sdp.solve(problem, tol=tol, start=start)
     if sol.status is sdp.SolveStatus.OPTIMAL:
-        return max(0.0, float(sol.primal_value)), sol.x[0]
+        deviation = float(sol.primal_value)
+        if deviation > FEASIBILITY_TOL:
+            raise InfeasibleDataError(deviation)
+        return max(0.0, deviation), sol.x[0]
     rho, _ = _unit_trace_psd_part(sol.x[0])
     deviation = _deviation(data, slack, rho)
     if not deviation <= FEASIBILITY_TOL:
@@ -423,22 +441,30 @@ def _joint_bracket(data: WitnessDataset, slack: np.ndarray, sol: sdp.ConicSoluti
 def min_roc_from_data(data: WitnessDataset, slack=0.0, tol: float = 1e-8) -> DataRocResult:
     """Exact minimum robustness of coherence among states matching the data.
 
-    Runs a feasibility pre-pass (raising InfeasibleDataError if even the
-    best state misses some expectation by more than the tolerance), then
-    solves _joint_problem: the least Tr D over diagonal D >= rho, jointly
-    over the state and D, under the expectation constraints.  `slack`
-    relaxes each equality to an interval of that half-width (scalar or
-    per-observable).  Values below 1e-6 are refined and values at or below
-    1e-9 are 0, as in `roc_exact`.
+    First decides whether a state matches the data, raising
+    InfeasibleDataError when even the best state misses some expectation by
+    more than FEASIBILITY_TOL; then solves _joint_problem: the least Tr D
+    over diagonal D >= rho, jointly over the state and D, under the
+    expectation constraints.  `slack` relaxes each equality to an interval
+    of that half-width (scalar or per-observable).  Values below 1e-6 are
+    refined and values at or below 1e-9 are 0, as in `roc_exact`.
 
-    When the data pin down a single pure state, the joint program has no
-    interior point and the value is that state's l1 coherence, its
-    robustness (the one-point case of facial reduction).  When the joint
-    solve stalls, its best iterate answers if _joint_bracket closes: its
-    state matches the data within FEASIBILITY_TOL (mismatch delta) and
-    lower - delta * sensitivity <= upper <= lower + CROSS_CHECK_TOL; the
-    value is then upper, the robustness bound of that state.  Otherwise
-    the SolverError is raised.
+    The decision takes no solve when sigma_ls is a full-rank state that
+    matches every row (_least_squares_deviation): the data are then
+    consistent and pin no pure state, and `deviation` is sigma_ls's,
+    floored at 0.  Exact data whose kept observables number d^2 - 1 are
+    then complete: sigma_ls is the only consistent state, and the answer is
+    roc_exact(sigma_ls) with sigma_ls as the state and no joint program.
+    Otherwise phase 1 (_phase1_deviation) measures the deviation.  When it
+    shows that the data pin down a single pure state, the joint program has
+    no interior point and the value is that state's l1 coherence, its
+    robustness (the one-point case of facial reduction).
+
+    When the joint solve stalls, its best iterate answers if _joint_bracket
+    closes: its state matches the data within FEASIBILITY_TOL (mismatch
+    delta) and lower - delta * sensitivity <= upper <= lower +
+    CROSS_CHECK_TOL; the value is then upper, the robustness bound of that
+    state.  Otherwise the SolverError is raised.
 
     Exact data (no slack) whose observables and the identity are linearly
     dependent pose the joint program on _independent_rows, and the state
@@ -449,19 +475,26 @@ def min_roc_from_data(data: WitnessDataset, slack=0.0, tol: float = 1e-8) -> Dat
     slack_arr = np.broadcast_to(np.asarray(slack, dtype=float), (k,)).copy()
     if not np.all(np.isfinite(slack_arr)) or np.any(slack_arr < 0.0):
         raise ValueError("slack must be finite and nonnegative")
+    relaxed = bool(np.any(slack_arr > 0.0))
 
-    deviation, phase1_state = _phase1_deviation(data, slack_arr, tol)
-    if deviation > FEASIBILITY_TOL:
-        raise InfeasibleDataError(deviation)
-    pinned = _pinned_state(data, slack_arr, phase1_state)
-    if pinned is not None:
-        value = l1_coherence(pinned)  # a pure state's robustness is its l1 coherence
-        return DataRocResult(value=value if value > VALUE_FLOOR else 0.0, state=pinned,
-                             deviation=deviation)
+    kept, _, sigma, deviation = _least_squares_deviation(data, slack_arr)
+    if deviation <= FEASIBILITY_TOL and float(jacobi_eigvalsh(sigma)[0]) > FEASIBILITY_TOL:
+        deviation = max(0.0, deviation)
+        if not relaxed and len(kept.observables) == data.dim ** 2 - 1:
+            return DataRocResult(value=roc_exact(sigma, tol).value, state=sigma,
+                                 deviation=deviation)
+    else:
+        deviation, phase1_state = _phase1_deviation(data, slack_arr, tol)
+        pinned = _pinned_state(data, slack_arr, phase1_state)
+        if pinned is not None:
+            value = l1_coherence(pinned)  # a pure state's robustness is its l1 coherence
+            return DataRocResult(value=value if value > VALUE_FLOOR else 0.0, state=pinned,
+                                 deviation=deviation)
 
     # only the exact program lacks a surplus variable per observable row, so
-    # it alone drops the rows that others span; phase 1 checked every row
-    kept = _independent_rows(data)[0] if not np.any(slack_arr > 0.0) else data
+    # it alone drops the rows that others span; every row was checked above
+    if relaxed:
+        kept = data
     kept_slack = slack_arr[:len(kept.observables)]
     problem = _joint_problem(kept, kept_slack)
     try:

@@ -48,6 +48,13 @@ def test_census_certify_small_seed_1():
     check_whole_pool(line, "certify_small", 840)
 
 
+def test_census_data_cli_seed_1():
+    # every data route: sigma_ls's closed form, complete data, phase 1, the
+    # pinned state, the joint program and inconsistent data
+    [line] = census("data_cli", "1")
+    check_whole_pool(line, "data_cli", 144)
+
+
 # data_cli cases whose solves sit near a stall: engine or formulation variants
 # that changed the data programs' arithmetic made each of these fail; the
 # last two stall in today's joint program and are answered by its bracket
@@ -62,8 +69,9 @@ STALL_PRONE = {
 }
 # cases that failed once and must keep passing: the first nine until phase 1
 # answered from its best checked iterate (they take the pinned-state route),
-# the rest until the joint program lost its majorant vector and a stalled
-# joint solve answered from its bracket
+# the next eight until the joint program lost its majorant vector and a
+# stalled joint solve answered from its bracket, and seed 44 until complete
+# data were answered by roc_exact at sigma_ls, with no joint program
 FIXED = {
     2: ["r15/consistent/d3"],
     7: ["r0/consistent/d6"],
@@ -82,16 +90,15 @@ FIXED = {
     39: ["r0/consistent/d4", "r15/consistent/d3"],
     319: ["r4/consistent/d2"],
     342: ["r12/consistent/d3"],
+    44: ["r5/consistent/d2"],
 }
-# cases that fail today; a case that is fixed comes off this list.  All but
-# seed 44 stall in the joint program on a thin consistent set, and its
-# bracket does not close; seed 44's observables and the identity are nearly
-# dependent (least singular value 2e-4), which ConicProblem.build refuses
+# cases that fail today; a case that is fixed comes off this list.  Each
+# stalls in the joint program on a thin consistent set, and its bracket
+# does not close
 KNOWN_FAILING = {
     14: ["r0/consistent/d2"],
     30: ["r0/consistent/d5"],
     37: ["r14/consistent/d2"],
-    44: ["r5/consistent/d2"],
     101: ["r8/consistent/d2"],
     2303: ["r4/consistent/d3"],
 }

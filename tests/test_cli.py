@@ -9,13 +9,14 @@ import pytest
 
 import cohrob.cli as cli
 from cohrob import sdp
-from cohrob.games import TheoremReport, canonical_game
+from cohrob.games import CROSS_CHECK_TOL, TheoremReport, canonical_game
 from cohrob.jsonio import dataset_to_json, game_to_json, matrix_to_json
-from cohrob.linalg import maximally_coherent_state, random_state
+from cohrob.linalg import l1_coherence, maximally_coherent_state, random_state
 from cohrob.sdp import SolverError
 from cohrob.witness import WitnessDataset
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]])
+PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 PAULI_Z = np.diag([1.0, -1.0])
 
 
@@ -103,8 +104,8 @@ OVERFLOW_FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures",
 
 
 def test_min_roc_overflow_exit_two(monkeypatch, capsys):
-    # phase 1 overflows on this fixture and is answered from its best iterate;
-    # a phase 1 whose best iterate misses the data still exits 2
+    # every solve stops at its start point; sigma_ls shows that the data are
+    # consistent, and the joint solve's bracket is open there, so exit 2
     real_solve = sdp.solve
 
     def stalled(problem, **options):
@@ -261,6 +262,20 @@ def test_min_roc_answers_an_observable_listed_twice(tmp_path, capsys):
         assert cli.main(["min-roc-from-data", "--json", path]) == 0
         outputs.append(json.loads(capsys.readouterr().out)["min_roc"])
     assert outputs[0] == outputs[1]
+
+
+def test_min_roc_answers_nearly_dependent_complete_qubit_data(tmp_path, capsys):
+    # X, Z and X + 2e-4 Y: the rows' least singular value is 2e-4, too small
+    # for ConicProblem.build to accept the joint program, but large enough
+    # that no row is dropped; three qubit observables are complete, so
+    # roc_exact answers at sigma_ls, and a qubit's robustness is its l1 norm
+    rho = random_state(2, seed=44)
+    data = WitnessDataset.from_state(rho, [PAULI_X, PAULI_Z, PAULI_X + 2e-4 * PAULI_Y])
+    path = write_json(tmp_path / "nearly_dependent.json", dataset_to_json(data))
+    assert cli.main(["min-roc-from-data", "--json", path]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert abs(payload["min_roc"] - l1_coherence(rho)) < CROSS_CHECK_TOL
+    assert payload["deviation"] <= 1e-12
 
 
 def test_min_roc_inconsistent_data_exit_four(tmp_path, capsys):

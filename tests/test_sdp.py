@@ -488,10 +488,11 @@ def test_games_and_data_programs_take_the_stacked_rows(monkeypatch):
     best_witness_from_data(data)
     min_roc_from_data(data)
     min_roc_from_data(data, slack=0.01)
-    # phase 1 and the joint program for each data solve, plus the fit and
-    # the two measurement programs (three hypotheses each, so neither game is
+    # the joint program for each data solve (sigma_ls is a full-rank state
+    # that matches the data, so phase 1 does not run), plus the fit and the
+    # two measurement programs (three hypotheses each, so neither game is
     # answered in closed form): none is the robustness program
-    assert len(solved) >= 7
+    assert len(solved) >= 5
     assert not any(problem.unit_diagonal for problem in solved)
 
 

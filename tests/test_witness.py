@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cohrob import sdp
+from cohrob import sdp, witness
 from cohrob.jsonio import dataset_from_json
 from cohrob.linalg import (
     as_hermitian,
@@ -26,6 +26,7 @@ from cohrob.witness import (
     _independent_rows,
     _joint_bracket,
     _joint_problem,
+    _phase1_deviation,
     best_witness_from_data,
     min_roc_from_data,
     population_gap_witness,
@@ -216,6 +217,67 @@ def test_best_witness_rejects_invalid_witness(monkeypatch):
 # -- minimal robustness from data ---------------------------------------------------------
 
 
+@pytest.fixture
+def phase1_calls(monkeypatch):
+    """The slack vector of every _phase1_deviation call, in order."""
+    calls = []
+    real_phase1 = witness._phase1_deviation
+
+    def spied(data, slack, tol):
+        calls.append(slack)
+        return real_phase1(data, slack, tol)
+
+    monkeypatch.setattr(witness, "_phase1_deviation", spied)
+    return calls
+
+
+def _random_observables(d, k, seed):
+    rng = np.random.default_rng(seed)
+    return [as_hermitian(g + g.conj().T)
+            for g in rng.normal(size=(k, d, d)) + 1j * rng.normal(size=(k, d, d))]
+
+
+@pytest.mark.parametrize("slack", [0.0, 0.01])
+def test_min_roc_interior_data_take_no_phase_1(slack, phase1_calls):
+    # sigma_ls is a full-rank state that matches the data: it shows that they
+    # are consistent and pin no pure state, so only the joint program runs
+    rho = random_state(3, seed=5)
+    data = WitnessDataset.from_state(rho, _random_observables(3, 3, 5))
+    result = min_roc_from_data(data, slack=slack)
+    assert phase1_calls == []
+    assert result.deviation <= 1e-12
+    assert _deviation(data, np.full(3, slack), result.state) <= FEASIBILITY_TOL
+    assert result.value <= roc_exact(rho).value + 1e-7
+
+
+def test_min_roc_complete_qutrit_takes_roc_exact(phase1_calls, recorded_solves):
+    # 8 independent observables and the identity span the Hermitian 3 x 3
+    # matrices, so sigma_ls is the only consistent state
+    rho = random_state(3, seed=12)
+    data = WitnessDataset.from_state(rho, _random_observables(3, 8, 12))
+    result = min_roc_from_data(data)
+    assert phase1_calls == []
+    assert len(recorded_solves) == 1  # roc_exact's solve, no joint program
+    assert np.max(np.abs(result.state - rho)) < 1e-9
+    assert abs(result.value - roc_exact(rho).value) < CROSS_CHECK_TOL
+    assert result.value == roc_exact(result.state).value
+    assert result.deviation <= 1e-12
+
+
+def test_min_roc_phase1_stall_that_misses_the_data_raises(monkeypatch, phase1_calls):
+    # pinned data need phase 1; a phase 1 stopped at its start point answers
+    # from it only when it matches the data, which it does not here
+    real_solve = sdp.solve
+
+    def stalled(problem, **options):
+        return real_solve(problem, **{**options, "max_iter": 0})
+
+    monkeypatch.setattr(sdp, "solve", stalled)
+    with pytest.raises(sdp.SolverError, match="status max_iter"):
+        min_roc_from_data(_pinned_qutrit_data(0)[1])
+    assert len(phase1_calls) == 1
+
+
 def test_min_roc_informationally_complete_qubit():
     rho = random_state(2, seed=8)
     data = WitnessDataset.from_state(rho, [PAULI_X, PAULI_Y, PAULI_Z])
@@ -230,10 +292,10 @@ def test_min_roc_single_diagonal_observable(recorded_solves):
     result = min_roc_from_data(data)
     assert result.value == 0.0
     assert abs(np.trace(np.diag([1.0, -1.0, 0.0]) @ result.state).real - 0.4) < 1e-6
-    # phase 1, the joint program, and its refine continued from the joint
-    # program's final iterate
-    assert [o.tol for o, _ in recorded_solves] == [1e-8, 1e-8, 1e-10]
-    (_, first), (refine_opts, refined) = recorded_solves[1:]
+    # sigma_ls is a full-rank state that matches the data, so no phase 1:
+    # the joint program, and its refine continued from its final iterate
+    assert [o.tol for o, _ in recorded_solves] == [1e-8, 1e-10]
+    (_, first), (refine_opts, refined) = recorded_solves
     x0, y0, s0 = refine_opts.start
     assert x0 is first.x and y0 is first.y and s0 is first.s
     assert refined.status is sdp.SolveStatus.OPTIMAL
@@ -263,12 +325,13 @@ def _pinned_qutrit_data(seed):
 
 
 @pytest.mark.parametrize("seed", range(20))
-def test_min_roc_pinned_pure_qutrit(seed, recorded_solves):
+def test_min_roc_pinned_pure_qutrit(seed, recorded_solves, phase1_calls):
     rho, data = _pinned_qutrit_data(seed)
     result = min_roc_from_data(data)
     assert abs(result.value - l1_coherence(rho)) < 1e-6
     assert np.max(np.abs(result.state - rho)) < 1e-6
     assert len(recorded_solves) == 1  # phase 1 only: the value is a closed form
+    assert len(phase1_calls) == 1  # sigma_ls is not a full-rank state here
     # the joint program has no interior point here, but the fit's start is
     # interior whatever the data
     fit = best_witness_from_data(data)
@@ -286,18 +349,24 @@ def test_min_roc_pinned_data_with_slack_is_not_pinned():
 
 
 def test_min_roc_overflow_is_a_solver_failure(load_fixture, recorded_solves):
-    # three observables pin a qubit state, and slack 1e-7 leaves an interval
-    # program with almost no interior: phase 1's iterates grow until the
-    # Schur complement overflows.  LAPACK then failed to converge and the raw
-    # LinAlgError escaped; the finiteness guard ends the solve instead, and
-    # phase 1 answers from its best iterate, which matches the data
+    # three observables fix a full-rank qubit state, and slack 1e-7 leaves an
+    # interval program with almost no interior: phase 1's iterates grow until
+    # the Schur complement overflows.  LAPACK then failed to converge and the
+    # raw LinAlgError escaped; the finiteness guard ends the solve instead,
+    # and phase 1 answers from its best iterate, which matches the data
     data = dataset_from_json(load_fixture("thin_slack_overflow_d2.json"))
+    slack = np.full(3, 1e-7)
     with pytest.warns(RuntimeWarning, match="overflow"):
-        result = min_roc_from_data(data, slack=1e-7)
+        deviation, state = _phase1_deviation(data, slack, 1e-8)
     _, phase1 = recorded_solves[0]
     assert phase1.status is sdp.SolveStatus.NUMERICAL_FAILURE
+    assert deviation == max(0.0, _deviation(data, slack, state))
+    # min_roc_from_data needs no phase 1 here, since sigma_ls is a full-rank
+    # state that matches the data
+    result = min_roc_from_data(data, slack=1e-7)
+    assert len(recorded_solves) == 2
     assert abs(result.value - 0.40605047) < 1e-8
-    assert abs(roc_exact(result.state).value - result.value) < 1e-8  # 2.7e-9, both at tol 1e-8
+    assert abs(roc_exact(result.state).value - result.value) < 1e-8  # both at tol 1e-8
     for obs, o_val in zip(data.observables, data.expectations):
         assert abs(np.trace(obs @ result.state).real - o_val) <= 1e-7 + 1e-7  # tolerance + slack
 
@@ -338,11 +407,14 @@ def test_min_roc_dependent_rows_give_the_twin_value(extra):
                - min_roc_from_data(twin, slack=0.01).value) < 1e-6
 
 
-def test_min_roc_inconsistent_data_raises():
+def test_min_roc_inconsistent_data_raises(phase1_calls):
     data = WitnessDataset.build([PAULI_X], [2.0])
     with pytest.raises(InfeasibleDataError) as err:
         min_roc_from_data(data)
-    assert err.value.deviation > 0.5
+    # sigma_ls matches <X> = 2 but is no state, so phase 1 measures the
+    # deviation: the states nearest the data have <X> = 1
+    assert len(phase1_calls) == 1
+    assert abs(err.value.deviation - 1.0) < 1e-6
 
 
 def test_min_roc_slack_relaxes_toward_zero():
