@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -41,8 +42,6 @@ EXIT_INVALID_WITNESS = 3
 EXIT_INFEASIBLE_DATA = 4
 EXIT_THEOREM_MISMATCH = 5
 
-MIN_TOL = TOL_FLOOR
-
 
 class _Parser(argparse.ArgumentParser):
     """argparse exits 2 on a malformed command line, the code this CLI keeps
@@ -54,7 +53,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _tol(text: str) -> float:
-    """--tol: a relative tolerance in (0, 1), floored at MIN_TOL.  At 1 or
+    """--tol: a relative tolerance in (0, 1), floored at TOL_FLOOR.  At 1 or
     more the solver's stopping test already holds at its starting point."""
     try:
         value = float(text)
@@ -63,7 +62,7 @@ def _tol(text: str) -> float:
     if not 0.0 < value < 1.0:
         raise argparse.ArgumentTypeError(
             f"tolerance must be a number in (0, 1), got {text!r}")
-    return max(value, MIN_TOL)
+    return max(value, TOL_FLOOR)
 
 
 def _load_state(path: str) -> np.ndarray:
@@ -106,8 +105,7 @@ def _cmd_roc(args) -> int:
 
 def _cmd_bounds(args) -> int:
     rho = _load_state(args.state)
-    report = roc_bounds(rho)
-    print(json.dumps(jsonio.bounds_to_json(report)))
+    print(json.dumps(asdict(roc_bounds(rho))))
     return EXIT_OK
 
 
@@ -163,16 +161,7 @@ def _cmd_verify_teo(args) -> int:
         seed=args.seed,
         tol=args.tol,
     )
-    payload = {
-        "roc": report.roc,
-        "canonical_ratio": report.canonical_ratio,
-        "equality_gap": report.equality_gap,
-        "equality_ok": report.equality_ok,
-        "phase_ratios": list(report.phase_ratios),
-        "channel_ratios": list(report.channel_ratios),
-        "bounds_ok": report.bounds_ok,
-    }
-    _emit(args, payload,
+    _emit(args, asdict(report),
           [f"roc {report.roc:.6f}",
            f"canonical_ratio {report.canonical_ratio:.6f}",
            f"equality_gap {report.equality_gap:.6f}",

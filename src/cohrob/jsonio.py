@@ -13,7 +13,7 @@ import sys
 import numpy as np
 
 from .games import ChannelGame, PhaseGame
-from .roc import BoundReport, RocCertificate
+from .roc import RocCertificate
 from .witness import WitnessDataset
 
 
@@ -91,16 +91,6 @@ def certificate_to_json(cert: RocCertificate) -> dict:
         "delta_star": matrix_to_json(cert.incoherent_part),
         "tau_star": matrix_to_json(cert.noise_part)
         if cert.noise_part is not None else None,
-    }
-
-
-def bounds_to_json(report: BoundReport) -> dict:
-    return {
-        "upper": report.upper,
-        "lower_dim": report.lower_dim,
-        "lower_gap_over_peak_population": report.lower_gap_over_peak_population,
-        "lower_gap_over_population_norm": report.lower_gap_over_population_norm,
-        "lower_gap": report.lower_gap,
     }
 
 

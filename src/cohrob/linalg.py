@@ -26,11 +26,11 @@ def as_complex(m) -> np.ndarray:
     return a
 
 
-def as_hermitian(m, tol: float = HERMITICITY_TOL) -> np.ndarray:
-    """Validate Hermiticity within `tol` (max-norm) and return (M + M†)/2."""
+def as_hermitian(m) -> np.ndarray:
+    """Validate Hermiticity within HERMITICITY_TOL (max-norm) and return (M + M†)/2."""
     a = as_complex(m)
     dev = np.max(np.abs(a - a.conj().T)) if a.size else 0.0
-    if dev > tol:
+    if dev > HERMITICITY_TOL:
         raise ValueError(f"matrix is not Hermitian: max |M - M†| = {dev:.3e}")
     return 0.5 * (a + a.conj().T)
 

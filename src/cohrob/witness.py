@@ -149,64 +149,56 @@ def _realified_rows(data: WitnessDataset) -> np.ndarray:
                            rows.imag.reshape(len(rows), -1)], axis=1)
 
 
-def _independent_rows(data: WitnessDataset) -> tuple:
-    """(kept, index): data without the observables that the identity and the
-    observables kept before them span (data itself when every observable is
-    kept), and the positions in data of the kept observables.
+def _least_squares(data: WitnessDataset, slack: np.ndarray) -> tuple:
+    """(kept, index, sigma, deviation, complete) from one least-squares solve
+    over the identity and every observable of data (_realified_rows).
 
-    An observable is dropped when its squared distance to that span is at
-    most GRAM_RANK_TOL times the largest squared norm of the identity and
-    the observables.  That distance bounds the smallest singular value of
-    the rows of _joint_problem and of the witness fit, so ConicProblem.build
-    refuses every dataset that loses an observable here, and one it accepts
-    keeps the same program.
-    """
-    flat = _realified_rows(data)
-    gram = flat @ flat.T
-    floor = sdp.GRAM_RANK_TOL * float(np.max(np.diag(gram)))
-    kept = list(range(len(flat)))
-    if float(np.linalg.eigvalsh(gram)[0]) <= floor:  # each distance is at least lambda_min
-        kept = [0]
-        for i in range(1, len(flat)):
-            span = flat[kept].T
-            residual = flat[i] - span @ np.linalg.lstsq(span, flat[i], rcond=None)[0]
-            if float(residual @ residual) > floor:
-                kept.append(i)
-    index = [i - 1 for i in kept[1:]]
-    if len(kept) == len(flat):
-        return data, index
-    return WitnessDataset(dim=data.dim, observables=tuple(data.observables[i] for i in index),
-                          expectations=tuple(data.expectations[i] for i in index)), index
+    sigma is sigma_ls, the unit-trace Hermitian matrix nearest 1/d in
+    Frobenius norm with Tr[O_i sigma] = o_i, and deviation is
+    _deviation(data, slack, sigma) over every row.  complete says that the
+    solve's rank is d^2: the rows span the Hermitian matrices, and the
+    solve's solution, sigma, is the only matrix that can match them all.
 
-
-def _least_squares_point(data: WitnessDataset) -> np.ndarray:
-    """sigma_ls: the unit-trace Hermitian matrix nearest 1/d in Frobenius
-    norm with Tr[O_i sigma] = o_i, for data whose observables and the
-    identity are independent (one least-squares solve).  When the identity
-    and the observables number d^2, they span the Hermitian matrices, and
-    sigma_ls is the only matrix that matches the data."""
-    d = data.dim
-    flat = _realified_rows(data)
-    centre = np.eye(d) / d
-    target = np.array([1.0, *data.expectations]) - flat[:, :d * d] @ centre.ravel()
-    step = np.linalg.lstsq(flat, target, rcond=None)[0]
-    step = (step[:d * d] + 1j * step[d * d:]).reshape(d, d)
-    return centre + 0.5 * (step + step.conj().T)  # the rows see only the Hermitian part
-
-
-def _least_squares_deviation(data: WitnessDataset, slack: np.ndarray) -> tuple:
-    """(kept, index, sigma, deviation): _independent_rows(data), sigma_ls of
-    the kept rows, and _deviation(data, slack, sigma) over every row of data,
-    dropped ones included.
+    The rows are independent when the solve's least singular value squared
+    (the Gram matrix's least eigenvalue) exceeds GRAM_RANK_TOL times the
+    largest squared row norm; kept is then data itself.  Else an observable
+    is dropped when its squared distance to the span of the identity and the
+    observables kept before it is at most that floor, and sigma of
+    incomplete data is the kept rows' least-squares point.  index lists the
+    kept observables' positions in data.  The distance bounds the least
+    singular value of the rows of _joint_problem and of the witness fit, so
+    ConicProblem.build refuses every dataset that loses an observable here,
+    and one it accepts keeps the same program.
 
     deviation <= FEASIBILITY_TOL shows, outside any solve, that a unit-trace
     Hermitian matrix matches the data.  When lambda_min(sigma) exceeds
     FEASIBILITY_TOL as well, sigma is a full-rank state that matches them:
     the data are consistent, and they pin no pure state.
     """
-    kept, index = _independent_rows(data)
-    sigma = _least_squares_point(kept)
-    return kept, index, sigma, _deviation(data, slack, sigma)
+    d = data.dim
+    flat = _realified_rows(data)
+    centre = np.eye(d) / d
+    target = np.array([1.0, *data.expectations]) - flat[:, :d * d] @ centre.ravel()
+    step, _, rank, singular = np.linalg.lstsq(flat, target, rcond=None)
+    floor = sdp.GRAM_RANK_TOL * float(np.max(np.sum(flat * flat, axis=1)))
+    kept = list(range(len(flat)))
+    if float(singular[-1]) ** 2 <= floor:  # each squared distance is at least this
+        kept = [0]
+        for i in range(1, len(flat)):
+            span = flat[kept].T
+            residual = flat[i] - span @ np.linalg.lstsq(span, flat[i], rcond=None)[0]
+            if float(residual @ residual) > floor:
+                kept.append(i)
+        if rank < d * d:
+            step = np.linalg.lstsq(flat[kept], target[kept], rcond=None)[0]
+    step = (step[:d * d] + 1j * step[d * d:]).reshape(d, d)
+    sigma = centre + 0.5 * (step + step.conj().T)  # the rows see only the Hermitian part
+    index = [i - 1 for i in kept[1:]]
+    deviation = _deviation(data, slack, sigma)
+    if len(kept) < len(flat):
+        data = WitnessDataset(dim=d, observables=tuple(data.observables[i] for i in index),
+                              expectations=tuple(data.expectations[i] for i in index))
+    return data, index, sigma, deviation, rank == d * d
 
 
 @dataclass(frozen=True)
@@ -224,22 +216,22 @@ def best_witness_from_data(data: WitnessDataset, tol: float = 1e-8) -> WitnessFi
     """Maximize -(sum_i c_i o_i + m) over valid witnesses sum c_i O_i + m*1.
 
     The witness coefficients live in the solver's dual vector: one row per
-    observable of _independent_rows(data) and one for the identity (the
+    observable that _least_squares keeps and one for the identity (the
     offset), a PSD d block for W <= 1 and a nonnegative d block for
     diag W >= 0.  The primal, min Tr X over X >= 0 and x >= 0 with
     Tr[O_i X] - <diag O_i, x> = -o_i and Tr X - sum x = -1, is strictly
-    feasible at X = t*1 - sigma_ls, x = t with t = lambda_max(sigma_ls) + 1
-    (_least_squares_point), the solve's start with the dual point c = 0,
-    m = 1/2.  A dropped observable gets coefficient 0.  When sigma_ls misses
-    a row (_least_squares_deviation), the data are checked by phase 1 and
-    InfeasibleDataError carries its deviation, as in min_roc_from_data.
+    feasible at X = t*1 - sigma_ls, x = t with t = lambda_max(sigma_ls) + 1,
+    the solve's start with the dual point c = 0, m = 1/2.  A dropped
+    observable gets coefficient 0.  When sigma_ls misses a row, the data are
+    checked by phase 1 and InfeasibleDataError carries its deviation, as in
+    min_roc_from_data.
 
     The solve is checked outside the engine before anything is returned: the
     witness must pass validate_witness, else SolverError names the failing
     quantity.  The bound is recomputed from the data, -(sum_i c_i o_i + m).
     """
     d, k = data.dim, len(data.observables)
-    kept, index, sigma, deviation = _least_squares_deviation(data, np.zeros(k))
+    kept, index, sigma, deviation, _ = _least_squares(data, np.zeros(k))
     if deviation > FEASIBILITY_TOL:
         _phase1_deviation(data, np.zeros(k), tol)  # raises unless a state matches
 
@@ -450,10 +442,10 @@ def min_roc_from_data(data: WitnessDataset, slack=0.0, tol: float = 1e-8) -> Dat
     refined and values at or below 1e-9 are 0, as in `roc_exact`.
 
     The decision takes no solve when sigma_ls is a full-rank state that
-    matches every row (_least_squares_deviation): the data are then
-    consistent and pin no pure state, and `deviation` is sigma_ls's,
-    floored at 0.  Exact data whose kept observables number d^2 - 1 are
-    then complete: sigma_ls is the only consistent state, and the answer is
+    matches every row (_least_squares): the data are then consistent and pin
+    no pure state, and `deviation` is sigma_ls's, floored at 0.  When the
+    identity and the observables also have rank d^2, exact data are
+    complete: sigma_ls is the only consistent state, and the answer is
     roc_exact(sigma_ls) with sigma_ls as the state and no joint program.
     Otherwise phase 1 (_phase1_deviation) measures the deviation.  When it
     shows that the data pin down a single pure state, the joint program has
@@ -467,9 +459,9 @@ def min_roc_from_data(data: WitnessDataset, slack=0.0, tol: float = 1e-8) -> Dat
     state.  Otherwise the SolverError is raised.
 
     Exact data (no slack) whose observables and the identity are linearly
-    dependent pose the joint program on _independent_rows, and the state
-    it returns must match every observable within FEASIBILITY_TOL, else
-    SolverError.
+    dependent pose the joint program on the rows that _least_squares keeps,
+    and the state it returns must match every observable within
+    FEASIBILITY_TOL, else SolverError.
     """
     k = len(data.observables)
     slack_arr = np.broadcast_to(np.asarray(slack, dtype=float), (k,)).copy()
@@ -477,10 +469,10 @@ def min_roc_from_data(data: WitnessDataset, slack=0.0, tol: float = 1e-8) -> Dat
         raise ValueError("slack must be finite and nonnegative")
     relaxed = bool(np.any(slack_arr > 0.0))
 
-    kept, _, sigma, deviation = _least_squares_deviation(data, slack_arr)
+    kept, _, sigma, deviation, complete = _least_squares(data, slack_arr)
     if deviation <= FEASIBILITY_TOL and float(jacobi_eigvalsh(sigma)[0]) > FEASIBILITY_TOL:
         deviation = max(0.0, deviation)
-        if not relaxed and len(kept.observables) == data.dim ** 2 - 1:
+        if not relaxed and complete:
             return DataRocResult(value=roc_exact(sigma, tol).value, state=sigma,
                                  deviation=deviation)
     else:

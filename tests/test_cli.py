@@ -265,17 +265,19 @@ def test_min_roc_answers_an_observable_listed_twice(tmp_path, capsys):
 
 
 def test_min_roc_answers_nearly_dependent_complete_qubit_data(tmp_path, capsys):
-    # X, Z and X + 2e-4 Y: the rows' least singular value is 2e-4, too small
-    # for ConicProblem.build to accept the joint program, but large enough
-    # that no row is dropped; three qubit observables are complete, so
-    # roc_exact answers at sigma_ls, and a qubit's robustness is its l1 norm
+    # X, Z and X + eps Y: at eps = 2e-4 the rows' least singular value is too
+    # small for ConicProblem.build to accept the joint program, but large
+    # enough that no row is dropped; at 1e-4 the third row is dropped.  The
+    # rows have rank 4 either way, so the data are complete, roc_exact
+    # answers at sigma_ls, and a qubit's robustness is its l1 norm
     rho = random_state(2, seed=44)
-    data = WitnessDataset.from_state(rho, [PAULI_X, PAULI_Z, PAULI_X + 2e-4 * PAULI_Y])
-    path = write_json(tmp_path / "nearly_dependent.json", dataset_to_json(data))
-    assert cli.main(["min-roc-from-data", "--json", path]) == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert abs(payload["min_roc"] - l1_coherence(rho)) < CROSS_CHECK_TOL
-    assert payload["deviation"] <= 1e-12
+    for eps in (2e-4, 1e-4):
+        data = WitnessDataset.from_state(rho, [PAULI_X, PAULI_Z, PAULI_X + eps * PAULI_Y])
+        path = write_json(tmp_path / "nearly_dependent.json", dataset_to_json(data))
+        assert cli.main(["min-roc-from-data", "--json", path]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert abs(payload["min_roc"] - l1_coherence(rho)) < CROSS_CHECK_TOL
+        assert payload["deviation"] <= 1e-12
 
 
 def test_min_roc_inconsistent_data_exit_four(tmp_path, capsys):

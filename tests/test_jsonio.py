@@ -1,5 +1,6 @@
 """JSON wire formats: roundtrips and line-precise error reporting."""
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -8,7 +9,6 @@ import cohrob.cli as cli
 from cohrob.games import ChannelGame, PhaseGame, canonical_game, random_channel_game
 from cohrob.jsonio import (
     InputFormatError,
-    bounds_to_json,
     certificate_to_json,
     dataset_from_json,
     dataset_to_json,
@@ -90,16 +90,21 @@ def test_certificate_serialization_keys_and_null_noise():
     assert w.shape == (2, 2)
 
 
-def test_bounds_serialization():
+def test_bounds_serialization(tmp_path, capsys):
     rho = random_state(3, seed=3)
-    plain = bounds_to_json(roc_bounds(rho))
-    assert set(plain) == {
+    path = tmp_path / "rho.json"
+    path.write_text(json.dumps(matrix_to_json(rho)), encoding="utf-8")
+    assert cli.main(["bounds", str(path)]) == 0
+    plain = json.loads(capsys.readouterr().out)
+    assert list(plain) == [
         "upper",
         "lower_dim",
         "lower_gap_over_peak_population",
         "lower_gap_over_population_norm",
         "lower_gap",
-    }
+    ]
+    assert all(type(v) is float for v in plain.values())
+    assert plain == asdict(roc_bounds(rho))
 
 
 # -- datasets ----------------------------------------------------------------------

@@ -23,9 +23,9 @@ from cohrob.witness import (
     InvalidWitnessError,
     WitnessDataset,
     _deviation,
-    _independent_rows,
     _joint_bracket,
     _joint_problem,
+    _least_squares,
     _phase1_deviation,
     best_witness_from_data,
     min_roc_from_data,
@@ -264,6 +264,24 @@ def test_min_roc_complete_qutrit_takes_roc_exact(phase1_calls, recorded_solves):
     assert result.deviation <= 1e-12
 
 
+@pytest.mark.parametrize("eps", [1e-4, 1e-5, 1e-6])
+def test_nearly_dependent_complete_qubit_data_take_the_all_rows_point(eps, phase1_calls):
+    # X + eps Y lies within the drop floor of the span of 1, X and Z, so the
+    # fit drops it; the four rows still have rank 4, so sigma_ls of every
+    # row is the one matrix that matches them, and roc_exact answers there
+    rho = random_state(2, seed=44)
+    data = WitnessDataset.from_state(rho, [PAULI_X, PAULI_Z, PAULI_X + eps * PAULI_Y])
+    _, index, sigma, deviation, complete = _least_squares(data, np.zeros(3))
+    assert index == [0, 1] and complete and deviation <= FEASIBILITY_TOL
+    result = min_roc_from_data(data)
+    assert abs(result.value - l1_coherence(rho)) < CROSS_CHECK_TOL  # a qubit's robustness
+    assert np.array_equal(result.state, sigma)
+    fit = best_witness_from_data(data)
+    assert fit.coefficients[2] == 0.0 and validate_witness(fit.witness).valid
+    assert fit.bound <= result.value + CROSS_CHECK_TOL
+    assert phase1_calls == []
+
+
 def test_min_roc_phase1_stall_that_misses_the_data_raises(monkeypatch, phase1_calls):
     # pinned data need phase 1; a phase 1 stopped at its start point answers
     # from it only when it matches the data, which it does not here
@@ -391,9 +409,9 @@ def test_min_roc_dependent_rows_give_the_twin_value(extra):
     data, twin = _dependent_twins(extra)
     with pytest.raises(ValueError, match="linearly dependent"):
         _joint_problem(data, np.zeros(4))
-    kept, index = _independent_rows(data)
-    assert len(kept.observables) == 3 and index == [0, 1, 3]
-    assert _independent_rows(twin)[0] is twin
+    kept, index, _, _, complete = _least_squares(data, np.zeros(4))
+    assert len(kept.observables) == 3 and index == [0, 1, 3] and not complete
+    assert _least_squares(twin, np.zeros(3))[0] is twin
     result = min_roc_from_data(data)
     assert result.value == min_roc_from_data(twin).value
     assert _deviation(data, np.zeros(4), result.state) <= FEASIBILITY_TOL
