@@ -9,8 +9,10 @@ Mehrotra predictor-corrector step.
 
 The engine is deliberately small: one input form (stacked constraint
 arrays), dense linear algebra, one Cholesky-with-jitter routine for the NT
-blocks and the Schur complement, and no infeasibility certificates (every
-problem built by this package is constructed feasible).
+blocks and the Schur complement, and no infeasibility certificates or rank
+test (every problem built by this package is constructed feasible, with
+linearly independent rows: the data programs pose only the observable rows
+that witness._least_squares keeps).
 
 A problem lists its PSD blocks first, then its nonnegative blocks.  The PSD
 blocks have one size and are kept as one (k, n, n) stack, so each iterate
@@ -108,9 +110,6 @@ def unrealify(m) -> np.ndarray:
 
 # -- problem container ----------------------------------------------------------
 
-GRAM_RANK_TOL = 1e-8
-
-
 @dataclass(frozen=True)
 class ConicProblem:
     """Standard-form conic problem over PSD and nonnegative blocks.
@@ -144,10 +143,10 @@ class ConicProblem:
 
         Every build checks the shapes, that the PSD blocks come first and all
         have one size (the solver keeps them as one stack), that the data are
-        finite, PSD cost and constraint data Hermitian within HERMITICITY_TOL,
-        and that the constraints are linearly independent.  The data are stored
-        as given, not symmetrized, so the solver sees exactly the caller's
-        arrays, in the stacked row form.
+        finite, and PSD cost and constraint data Hermitian within
+        HERMITICITY_TOL.  The rows' independence is the caller's to ensure.
+        The data are stored as given, not symmetrized, so the solver sees
+        exactly the caller's arrays, in the stacked row form.
         """
         blocks = tuple((str(k), int(n)) for k, n in blocks)
         if not blocks:
@@ -186,9 +185,7 @@ class ConicProblem:
                     raise ValueError("nonneg block data not finite")
             costs.append(c)
             checked.append(st)
-        problem = ConicProblem(blocks=blocks, cost=tuple(costs), stacks=tuple(checked), rhs=rhs)
-        problem._check_independent()
-        return problem
+        return ConicProblem(blocks=blocks, cost=tuple(costs), stacks=tuple(checked), rhs=rhs)
 
     @staticmethod
     def build_unit_diagonal(cost) -> "ConicProblem":
@@ -199,28 +196,6 @@ class ConicProblem:
             raise ValueError(f"cost must be a square matrix, got shape {c.shape}")
         _check_hermitian("cost", c)
         return ConicProblem(((PSD, len(c)),), (c,), (), np.ones(len(c)), unit_diagonal=True)
-
-    def _check_independent(self):
-        m = self.rhs.size
-        gram = np.zeros((m, m))
-        for (kind, _), st in zip(self.blocks, self.stacks):
-            f = st.reshape(m, -1)
-            if kind == PSD:
-                gram += (f @ f.conj().T).real
-            else:
-                gram += f @ f.T
-        # cheap sufficient test first: lambda_min > tol * trace >= tol * lambda_max
-        thr = GRAM_RANK_TOL * max(float(np.trace(gram)), 1e-300)
-        try:
-            np.linalg.cholesky(gram - thr * np.eye(m))
-            return
-        except np.linalg.LinAlgError:
-            pass
-        w = np.linalg.eigvalsh(gram)
-        top = max(float(w[-1]), 1e-300)
-        rank = int(np.sum(w > GRAM_RANK_TOL * top))
-        if rank < m:
-            raise ValueError(f"constraints are linearly dependent (rank {rank} < {m})")
 
 
 def _check_hermitian(what, a):

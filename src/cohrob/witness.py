@@ -25,6 +25,7 @@ from .roc import VALUE_FLOOR, roc_exact, solve_robustness
 DIAG_TOL = 1e-10
 EIG_TOL = 1e-10
 FEASIBILITY_TOL = 1e-7
+GRAM_RANK_TOL = 1e-8
 
 
 class InfeasibleDataError(ValueError):
@@ -165,10 +166,9 @@ def _least_squares(data: WitnessDataset, slack: np.ndarray) -> tuple:
     is dropped when its squared distance to the span of the identity and the
     observables kept before it is at most that floor, and sigma of
     incomplete data is the kept rows' least-squares point.  index lists the
-    kept observables' positions in data.  The distance bounds the least
-    singular value of the rows of _joint_problem and of the witness fit, so
-    ConicProblem.build refuses every dataset that loses an observable here,
-    and one it accepts keeps the same program.
+    kept observables' positions in data.  This is the package's one rank
+    rule: the exact joint program and the witness fit pose only the kept
+    rows, and the engine makes no rank test of its own.
 
     deviation <= FEASIBILITY_TOL shows, outside any solve, that a unit-trace
     Hermitian matrix matches the data.  When lambda_min(sigma) exceeds
@@ -180,7 +180,7 @@ def _least_squares(data: WitnessDataset, slack: np.ndarray) -> tuple:
     centre = np.eye(d) / d
     target = np.array([1.0, *data.expectations]) - flat[:, :d * d] @ centre.ravel()
     step, _, rank, singular = np.linalg.lstsq(flat, target, rcond=None)
-    floor = sdp.GRAM_RANK_TOL * float(np.max(np.sum(flat * flat, axis=1)))
+    floor = GRAM_RANK_TOL * float(np.max(np.sum(flat * flat, axis=1)))
     kept = list(range(len(flat)))
     if float(singular[-1]) ** 2 <= floor:  # each squared distance is at least this
         kept = [0]
@@ -492,7 +492,7 @@ def min_roc_from_data(data: WitnessDataset, slack=0.0, tol: float = 1e-8) -> Dat
     try:
         sol, value = solve_robustness(problem, None, tol,
                                       lambda sol: float(sol.primal_value) - 1.0)
-        state = as_density(sol.x[1] / float(np.trace(sol.x[1]).real))
+        state, _ = _unit_trace_psd_part(sol.x[1])
     except sdp.SolverError as exc:
         # a stalled solve answers from its best iterate when the bracket closes
         lower, upper, state, sensitivity = _joint_bracket(kept, kept_slack, exc.solution)

@@ -265,11 +265,11 @@ def test_min_roc_answers_an_observable_listed_twice(tmp_path, capsys):
 
 
 def test_min_roc_answers_nearly_dependent_complete_qubit_data(tmp_path, capsys):
-    # X, Z and X + eps Y: at eps = 2e-4 the rows' least singular value is too
-    # small for ConicProblem.build to accept the joint program, but large
-    # enough that no row is dropped; at 1e-4 the third row is dropped.  The
-    # rows have rank 4 either way, so the data are complete, roc_exact
-    # answers at sigma_ls, and a qubit's robustness is its l1 norm
+    # X, Z and X + eps Y: at eps = 2e-4 the third row lies just outside the
+    # drop floor of witness._least_squares, so it is kept; at 1e-4 it is
+    # dropped.  The rows have rank 4 either way, so the data are complete,
+    # roc_exact answers at sigma_ls, and a qubit's robustness is its l1 norm.
+    # The fit poses the kept rows as they are, barely independent at 2e-4
     rho = random_state(2, seed=44)
     for eps in (2e-4, 1e-4):
         data = WitnessDataset.from_state(rho, [PAULI_X, PAULI_Z, PAULI_X + eps * PAULI_Y])
@@ -278,6 +278,10 @@ def test_min_roc_answers_nearly_dependent_complete_qubit_data(tmp_path, capsys):
         payload = json.loads(capsys.readouterr().out)
         assert abs(payload["min_roc"] - l1_coherence(rho)) < CROSS_CHECK_TOL
         assert payload["deviation"] <= 1e-12
+        if eps == 2e-4:
+            assert cli.main(["witness-from-data", "--json", path]) == 0
+            bound = json.loads(capsys.readouterr().out)["bound"]
+            assert abs(bound - l1_coherence(rho)) < CROSS_CHECK_TOL
 
 
 def test_min_roc_inconsistent_data_exit_four(tmp_path, capsys):

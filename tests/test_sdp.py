@@ -134,17 +134,6 @@ def test_hermitian_basis_is_orthogonal_frame():
 # -- construction checks --------------------------------------------------------------
 
 
-def test_build_rejects_dependent_constraints():
-    row = np.array([[1.0, 1.0]])
-    with pytest.raises(ValueError, match="dependent"):
-        ConicProblem.build(
-            blocks=[(NONNEG, 2)],
-            cost=[np.ones(2)],
-            rhs=[1.0, 2.0],
-            stacks=[np.vstack([row, row])],
-        )
-
-
 def test_build_rejects_nonhermitian_coefficient():
     bad = np.array([[0.0, 1.0], [0.0, 0.0]])
     with pytest.raises(ValueError, match="constraint data not Hermitian"):
