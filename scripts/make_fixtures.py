@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import pathlib
 import sys
+import tempfile
 
 import numpy as np
 
@@ -22,7 +23,8 @@ from cohrob.jsonio import fixture_to_json, matrix_to_json  # noqa: E402
 from cohrob.linalg import random_state  # noqa: E402
 from cohrob.oracle import roc_descent_oracle  # noqa: E402
 
-FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "tests" / "fixtures"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+FIXTURES = ROOT / "tests" / "fixtures"
 
 
 def realify_spectrum_fixture(seed: int = 303) -> dict:
@@ -119,6 +121,21 @@ def gap_state_fixture() -> dict:
     }
 
 
+def high_sensitivity_fixture(seed: int = 2959, round_no: int = 15, dim: int = 3) -> dict:
+    """The dataset that bench/workloads.py writes for the data_cli case
+    r15/consistent/d3 of seed 2959: consistent data whose least robustness
+    moves by up to about 545 per unit of data error."""
+    sys.path.insert(0, str(ROOT / "bench"))
+    import workloads
+
+    with tempfile.TemporaryDirectory() as workdir:
+        workloads.WORKLOADS["data_cli"].make_round(seed, round_no, workdir)
+        with open(pathlib.Path(workdir) / f"r{round_no}-d{dim}.json", encoding="utf-8") as fh:
+            dataset = json.load(fh)
+    return {"seed": seed, "case": f"r{round_no}/consistent/d{dim}", "input": dataset,
+            "oracle": "bench/workloads.py data_cli pool"}
+
+
 def main() -> None:
     FIXTURES.mkdir(parents=True, exist_ok=True)
     files = {
@@ -126,6 +143,7 @@ def main() -> None:
         "descent_roc_qutrits.json": descent_roc_fixtures(),
         "witness_grid_x.json": witness_grid_fixture(),
         "gap_qutrit.json": gap_state_fixture(),
+        "high_sensitivity_d3.json": high_sensitivity_fixture(),
     }
     for name, payload in files.items():
         path = FIXTURES / name

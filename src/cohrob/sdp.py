@@ -11,8 +11,9 @@ The engine is deliberately small: one input form (stacked constraint
 arrays), dense linear algebra, one Cholesky-with-jitter routine for the NT
 blocks and the Schur complement, and no infeasibility certificates or rank
 test (every problem built by this package is constructed feasible, with
-linearly independent rows: the data programs pose only the observable rows
-that witness._least_squares keeps).
+linearly independent rows: an exact data program poses orthonormal
+coordinates from one SVD in witness._least_squares, and the others carry a
+surplus variable on every observable row).
 
 A problem lists its PSD blocks first, then its nonnegative blocks.  The PSD
 blocks have one size and are kept as one (k, n, n) stack, so each iterate

@@ -8,11 +8,15 @@ a measured expectation certifies coherence quantitatively.
 Two data-driven programs operate on expectation datasets: the best witness
 that is a linear combination of the measured observables (a lower bound from
 data alone), and the exact minimum robustness among all states consistent
-with the data.
+with the data.  Both read the data through one SVD of the identity and the
+observables (_least_squares): the fit works on the row space that the SVD
+keeps, and the exact program on its null space.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache, partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,7 +29,11 @@ from .roc import VALUE_FLOOR, roc_exact, solve_robustness
 DIAG_TOL = 1e-10
 EIG_TOL = 1e-10
 FEASIBILITY_TOL = 1e-7
-GRAM_RANK_TOL = 1e-8
+# the most any row may change, for a state, along the singular directions
+# that _least_squares drops; sigma of consistent data misses a row by at most
+# as much, so each state of the reduced set matches every row within half of
+# FEASIBILITY_TOL
+DROP_TOL = 0.25 * FEASIBILITY_TOL
 
 
 class InfeasibleDataError(ValueError):
@@ -139,36 +147,63 @@ class WitnessDataset:
         return WitnessDataset.build(obs, vals)
 
 
-# -- best witness compatible with a dataset --------------------------------------
+# -- the data rows in coordinates --------------------------------------------------
 
 
-def _realified_rows(data: WitnessDataset) -> np.ndarray:
-    """The identity and the observables as rows of their real and imaginary
-    parts: row . (Re X, Im X) is Tr X, then Tr[O_i X], for Hermitian X."""
-    rows = np.stack([np.eye(data.dim, dtype=np.complex128), *data.observables])
-    return np.concatenate([rows.real.reshape(len(rows), -1),
-                           rows.imag.reshape(len(rows), -1)], axis=1)
+@lru_cache(maxsize=32)
+def _orthonormal_basis(d: int) -> np.ndarray:
+    """hermitian_basis(d) with its off-diagonal elements scaled by 1/sqrt 2:
+    an orthonormal basis of the Hermitian d x d matrices under Tr[A B]."""
+    scale = np.full(d * d, np.sqrt(0.5))
+    scale[:d] = 1.0
+    out = sdp.hermitian_basis(d) * scale[:, None, None]
+    out.setflags(write=False)
+    return out
 
 
-def _least_squares(data: WitnessDataset, slack: np.ndarray) -> tuple:
-    """(kept, index, sigma, deviation, complete) from one least-squares solve
-    over the identity and every observable of data (_realified_rows).
+def _coords(mats: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """Tr[B_a M] for each matrix M of a (..., d, d) stack and each B_a of basis."""
+    n = basis.shape[-1] ** 2
+    flat = mats.reshape(-1, n) @ basis.reshape(-1, n).conj().T
+    return flat.real.reshape(mats.shape[:-2] + (-1,))
 
-    sigma is sigma_ls, the unit-trace Hermitian matrix nearest 1/d in
-    Frobenius norm with Tr[O_i sigma] = o_i, and deviation is
-    _deviation(data, slack, sigma) over every row.  complete says that the
-    solve's rank is d^2: the rows span the Hermitian matrices, and the
-    solve's solution, sigma, is the only matrix that can match them all.
 
-    The rows are independent when the solve's least singular value squared
-    (the Gram matrix's least eigenvalue) exceeds GRAM_RANK_TOL times the
-    largest squared row norm; kept is then data itself.  Else an observable
-    is dropped when its squared distance to the span of the identity and the
-    observables kept before it is at most that floor, and sigma of
-    incomplete data is the kept rows' least-squares point.  index lists the
-    kept observables' positions in data.  This is the package's one rank
-    rule: the exact joint program and the witness fit pose only the kept
-    rows, and the engine makes no rank test of its own.
+def _matrices(coords: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """sum_a c_a B_a for each coordinate vector c of coords, shaped (..., d, d)."""
+    d = basis.shape[-1]
+    return (coords @ basis.reshape(-1, d * d)).reshape(coords.shape[:-1] + (d, d))
+
+
+class _DataSpace(NamedTuple):
+    """The data rows in coordinates (_least_squares).
+
+    sigma: the unit-trace Hermitian point nearest 1/d on the kept directions.
+    deviation: _deviation(data, slack, sigma) over every row.
+    span: an orthonormal basis P_1..P_r of the kept row space, (r, d, d).
+    null: an orthonormal basis N_1..N_n of its complement, n = d^2 - r.
+    weights: (k + 1, r); W = sum_j a_j P_j is m * 1 + sum_i c_i O_i with
+        (m, c) = weights @ a, the minimum-norm such (m, c).
+    """
+
+    sigma: np.ndarray
+    deviation: float
+    span: np.ndarray
+    null: np.ndarray
+    weights: np.ndarray
+
+
+def _least_squares(data: WitnessDataset, slack: np.ndarray) -> _DataSpace:
+    """One SVD of the identity and the observables, written in
+    _orthonormal_basis coordinates, decides the row space of the data.
+
+    A row listed twice, or the identity measured, is posed once (its first
+    listing), so it changes no bit of either program.  The smallest singular
+    directions are dropped while every row's component along the dropped
+    ones, sqrt(sum_j (U_ij s_j)^2), is at most DROP_TOL.  A state differs
+    from 1/d along them by at most ||rho - 1/d||_F < 1, so every state that
+    matches the kept directions matches every row within sigma's deviation
+    plus DROP_TOL: no row needs a check of its own.  sigma is the
+    pseudo-inverse point around 1/d over the kept directions.
 
     deviation <= FEASIBILITY_TOL shows, outside any solve, that a unit-trace
     Hermitian matrix matches the data.  When lambda_min(sigma) exceeds
@@ -176,35 +211,36 @@ def _least_squares(data: WitnessDataset, slack: np.ndarray) -> tuple:
     the data are consistent, and they pin no pure state.
     """
     d = data.dim
-    flat = _realified_rows(data)
-    centre = np.eye(d) / d
-    target = np.array([1.0, *data.expectations]) - flat[:, :d * d] @ centre.ravel()
-    step, _, rank, singular = np.linalg.lstsq(flat, target, rcond=None)
-    floor = GRAM_RANK_TOL * float(np.max(np.sum(flat * flat, axis=1)))
-    kept = list(range(len(flat)))
-    if float(singular[-1]) ** 2 <= floor:  # each squared distance is at least this
-        kept = [0]
-        for i in range(1, len(flat)):
-            span = flat[kept].T
-            residual = flat[i] - span @ np.linalg.lstsq(span, flat[i], rcond=None)[0]
-            if float(residual @ residual) > floor:
-                kept.append(i)
-        if rank < d * d:
-            step = np.linalg.lstsq(flat[kept], target[kept], rcond=None)[0]
-    step = (step[:d * d] + 1j * step[d * d:]).reshape(d, d)
-    sigma = centre + 0.5 * (step + step.conj().T)  # the rows see only the Hermitian part
-    index = [i - 1 for i in kept[1:]]
-    deviation = _deviation(data, slack, sigma)
-    if len(kept) < len(flat):
-        data = WitnessDataset(dim=d, observables=tuple(data.observables[i] for i in index),
-                              expectations=tuple(data.expectations[i] for i in index))
-    return data, index, sigma, deviation, rank == d * d
+    basis = _orthonormal_basis(d)
+    rows = _coords(np.stack([np.eye(d, dtype=np.complex128), *data.observables]), basis)
+    repeated = np.triu((rows[:, None] == rows[None]).all(axis=2), 1).any(axis=0)
+    first = np.flatnonzero(~repeated)
+    u, sv, vt = np.linalg.svd(rows[first])
+    u = u[:, :sv.size]
+    # tail[i, j]: row i's squared component along directions j, j + 1, ...
+    tail = np.cumsum(((u * sv) ** 2)[:, ::-1], axis=1)[:, ::-1]
+    rank = int(np.count_nonzero(np.max(tail, axis=0) > DROP_TOL ** 2))
+    centre = rows[0] / d
+    target = np.array([1.0, *data.expectations])[first] - rows[first] @ centre
+    step = vt[:rank].T @ ((u[:, :rank].T @ target) / sv[:rank])
+    sigma = _matrices(centre + step, basis)
+    weights = np.zeros((len(rows), rank))
+    weights[first] = u[:, :rank] / sv[:rank]
+    return _DataSpace(sigma=sigma, deviation=_deviation(data, slack, sigma),
+                      span=_matrices(vt[:rank], basis), null=_matrices(vt[rank:], basis),
+                      weights=weights)
+
+
+# -- best witness compatible with a dataset --------------------------------------
 
 
 @dataclass(frozen=True)
 class WitnessFit:
-    """Best data-built witness: W = sum_i c_i O_i + m * identity, with one
-    coefficient per observable of the dataset (0 for a dropped one)."""
+    """Best data-built witness W = sum_i c_i O_i + m * identity, with one
+    coefficient per observable of the dataset (0 for a repeated listing).
+    witness is W as the solve gives it in row-space coordinates; the
+    coefficients give it up to their roundoff, which grows as the inverse of
+    the least singular value that _least_squares keeps."""
 
     bound: float
     coefficients: np.ndarray
@@ -213,16 +249,18 @@ class WitnessFit:
 
 
 def best_witness_from_data(data: WitnessDataset, tol: float = 1e-8) -> WitnessFit:
-    """Maximize -(sum_i c_i o_i + m) over valid witnesses sum c_i O_i + m*1.
+    """Maximize -Tr[W sigma] over W = sum_j a_j P_j in the row space of the
+    data (_least_squares) with W <= 1 and diag W >= 0.
 
-    The witness coefficients live in the solver's dual vector: one row per
-    observable that _least_squares keeps and one for the identity (the
-    offset), a PSD d block for W <= 1 and a nonnegative d block for
-    diag W >= 0.  The primal, min Tr X over X >= 0 and x >= 0 with
-    Tr[O_i X] - <diag O_i, x> = -o_i and Tr X - sum x = -1, is strictly
-    feasible at X = t*1 - sigma_ls, x = t with t = lambda_max(sigma_ls) + 1,
-    the solve's start with the dual point c = 0, m = 1/2.  A dropped
-    observable gets coefficient 0.  When sigma_ls misses a row, the data are
+    Every W of the row space is m * 1 + sum_i c_i O_i, and Tr[W sigma] is
+    then sum_i c_i o_i + m, so this is the best valid witness built from the
+    data.  The coordinates a live in the solver's dual vector, one
+    orthonormal row per P_j, with a PSD d block for W <= 1 and a nonnegative
+    d block for diag W >= 0.  The primal, min Tr X over X >= 0 and x >= 0
+    with Tr[P_j X] - <diag P_j, x> = -Tr[P_j sigma], is strictly feasible at
+    X = t*1 - sigma, x = t with t = lambda_max(sigma) + 1, the solve's start
+    with W = 1/2 projected onto the row space.  The coefficients are the
+    minimum-norm (m, c) that give W.  When sigma misses a row, the data are
     checked by phase 1 and InfeasibleDataError carries its deviation, as in
     min_roc_from_data.
 
@@ -231,34 +269,34 @@ def best_witness_from_data(data: WitnessDataset, tol: float = 1e-8) -> WitnessFi
     quantity.  The bound is recomputed from the data, -(sum_i c_i o_i + m).
     """
     d, k = data.dim, len(data.observables)
-    kept, index, sigma, deviation, _ = _least_squares(data, np.zeros(k))
-    if deviation > FEASIBILITY_TOL:
+    space = _least_squares(data, np.zeros(k))
+    if space.deviation > FEASIBILITY_TOL:
         _phase1_deviation(data, np.zeros(k), tol)  # raises unless a state matches
 
-    n = len(index)
+    span, sigma = space.span, space.sigma
     eye = np.eye(d, dtype=np.complex128)
-    rows = np.stack([*kept.observables, eye])
+    diag = np.diagonal(span, axis1=1, axis2=2).real
     problem = sdp.ConicProblem.build(
         blocks=[(sdp.PSD, d), (sdp.NONNEG, d)],
         cost=[eye, np.zeros(d)],
-        rhs=-np.array([*kept.expectations, 1.0]),
-        stacks=(rows, -np.diagonal(rows, axis1=1, axis2=2).real),
+        rhs=-_coords(sigma, span),
+        stacks=(span, -diag),
     )
     t = float(jacobi_eigvalsh(sigma)[-1]) + 1.0
-    start = ([t * eye - sigma, np.full(d, t)], np.append(np.zeros(n), 0.5),
-             [0.5 * eye, np.full(d, 0.5)])
+    a0 = 0.5 * _coords(eye, span)
+    start = ([t * eye - sigma, np.full(d, t)], a0,
+             [eye - _matrices(a0, span), a0 @ diag])
     sol = sdp.solve_or_raise(problem, tol=tol, start=start)
 
-    coeffs = np.zeros(k)
-    coeffs[index] = sol.y[:n]
-    offset = float(sol.y[n])
-    witness = as_hermitian(sum(c * o for c, o in zip(coeffs, data.observables)) + offset * eye)
+    witness = as_hermitian(_matrices(sol.y, span))
+    offset, *coeffs = space.weights @ sol.y
+    coeffs = np.array(coeffs)
     report = validate_witness(witness)
     if not report.valid:
         raise sdp.SolverError(f"fitted witness is invalid: diag_min={report.diag_min:.3e}, "
                               f"eig_excess={report.eig_excess:.3e}")
     bound = -(float(coeffs @ np.asarray(data.expectations)) + offset)
-    return WitnessFit(bound=max(0.0, bound), coefficients=coeffs, offset=offset,
+    return WitnessFit(bound=max(0.0, bound), coefficients=coeffs, offset=float(offset),
                       witness=witness)
 
 
@@ -353,20 +391,18 @@ def _pinned_state(data: WitnessDataset, slack: np.ndarray, state: np.ndarray):
 
 
 def _joint_problem(data: WitnessDataset, slack: np.ndarray) -> sdp.ConicProblem:
-    """min Tr Z + Tr rho over Z, rho >= 0 with Z + rho diagonal, Tr rho = 1
-    and the observable rows.
+    """The --slack program: min Tr Z + Tr rho over Z, rho >= 0 with Z + rho
+    diagonal, Tr rho = 1 and |Tr[O_i rho] - o_i| <= slack_i.
 
     D = diag(Z + rho) then majorizes rho, so the primal value is Tr D.  Rows:
     one per off-diagonal element of hermitian_basis(d), acting on both
-    blocks (rhs 0), then the trace row, then Tr[O_i rho] (+ a_i) =
-    o_i + slack_i for each i, and with slack the rows Tr[O_i rho] - b_i =
-    o_i - slack_i on surplus blocks a, b >= 0.
+    blocks (rhs 0), then the trace row, then Tr[O_i rho] + a_i = o_i +
+    slack_i and Tr[O_i rho] - b_i = o_i - slack_i on surplus blocks a, b >= 0.
     """
     d, k = data.dim, len(data.observables)
     off_diagonal = sdp.hermitian_basis(d)[d:]
     n_off = off_diagonal.shape[0]
-    relaxed = bool(np.any(slack > 0.0))
-    m = n_off + 1 + (2 * k if relaxed else k)
+    m = n_off + 1 + 2 * k
 
     z_stack = np.zeros((m, d, d), dtype=np.complex128)
     z_stack[:n_off] = off_diagonal
@@ -375,25 +411,20 @@ def _joint_problem(data: WitnessDataset, slack: np.ndarray) -> sdp.ConicProblem:
     rhs = np.zeros(m)
     rhs[n_off] = 1.0
     upper = n_off + 1 + np.arange(k)
+    lower = upper + k
     rho_stack[upper] = data.observables
+    rho_stack[lower] = data.observables
     rhs[upper] = np.asarray(data.expectations) + slack
-
+    rhs[lower] = np.asarray(data.expectations) - slack
+    a_stack = np.zeros((m, k))
+    a_stack[upper, np.arange(k)] = 1.0
+    b_stack = np.zeros((m, k))
+    b_stack[lower, np.arange(k)] = -1.0
     eye = np.eye(d, dtype=np.complex128)
-    blocks = [(sdp.PSD, d), (sdp.PSD, d)]
-    cost = [eye, eye]
-    stacks = [z_stack, rho_stack]
-    if relaxed:
-        lower = upper + k
-        a_stack = np.zeros((m, k))
-        a_stack[upper, np.arange(k)] = 1.0
-        b_stack = np.zeros((m, k))
-        b_stack[lower, np.arange(k)] = -1.0
-        rho_stack[lower] = data.observables
-        rhs[lower] = np.asarray(data.expectations) - slack
-        blocks += [(sdp.NONNEG, k), (sdp.NONNEG, k)]
-        cost += [np.zeros(k), np.zeros(k)]
-        stacks += [a_stack, b_stack]
-    return sdp.ConicProblem.build(blocks=blocks, cost=cost, rhs=rhs, stacks=stacks)
+    return sdp.ConicProblem.build(
+        blocks=[(sdp.PSD, d), (sdp.PSD, d), (sdp.NONNEG, k), (sdp.NONNEG, k)],
+        cost=[eye, eye, np.zeros(k), np.zeros(k)], rhs=rhs,
+        stacks=[z_stack, rho_stack, a_stack, b_stack])
 
 
 def _joint_bracket(data: WitnessDataset, slack: np.ndarray, sol: sdp.ConicSolution) -> tuple:
@@ -412,9 +443,7 @@ def _joint_bracket(data: WitnessDataset, slack: np.ndarray, sol: sdp.ConicSoluti
     d, k = data.dim, len(data.observables)
     n_off = d * d - d
     y = sol.y
-    coeffs = y[n_off + 1:n_off + 1 + k].copy()
-    if y.size > n_off + 1 + k:
-        coeffs += y[n_off + 1 + k:]
+    coeffs = y[n_off + 1:n_off + 1 + k] + y[n_off + 1 + k:]
     eye = np.eye(d, dtype=np.complex128)
     g = eye - np.tensordot(y[:n_off], sdp.hermitian_basis(d)[d:], axes=1)
     shift = max(0.0, -float(jacobi_eigvalsh(g)[0]))
@@ -422,12 +451,66 @@ def _joint_bracket(data: WitnessDataset, slack: np.ndarray, sol: sdp.ConicSoluti
     lower = (min(0.0, float(jacobi_eigvalsh(s)[0])) + float(y[n_off])
              + float(coeffs @ np.asarray(data.expectations))
              - float(np.abs(coeffs) @ slack) + shift) / (1.0 + shift) - 1.0
-
     state, trace = _unit_trace_psd_part(sol.x[1])
-    majorant = np.diag(np.diag(sol.x[0] + sol.x[1]).real / trace)
-    defect = max(0.0, -float(jacobi_eigvalsh(majorant - state)[0]))
-    upper = float(np.trace(majorant).real) + d * defect - 1.0
+    upper = _majorant_bound(np.diag(sol.x[0] + sol.x[1]).real, state, trace)
     return lower, upper, state, float(np.sum(np.abs(coeffs)))
+
+
+def _null_space_problem(space: _DataSpace) -> sdp.ConicProblem:
+    """The exact program on the data's null space: max -Tr D over the
+    engine's dual vector y = (D, t), subject to Diag(D) - sigma - N(t) >= 0
+    and sigma + N(t) >= 0, with N(t) = sum_l t_l N_l (_least_squares).
+
+    Every state that matches the kept directions is sigma + N(t) for one t,
+    and D then majorizes it, so the value is the least Tr D - 1.  Two PSD d
+    blocks and d + n rows.  The engine's primal, min Tr[sigma (X - Y)] over
+    Y, X >= 0 with diag Y = 1 and Y - X orthogonal to every N_l, is
+    strictly feasible at its default start Y = X = 1.
+    """
+    sigma, null = space.sigma, space.null
+    d = sigma.shape[0]
+    units = sdp.hermitian_basis(d)[:d]
+    return sdp.ConicProblem.build(
+        blocks=[(sdp.PSD, d), (sdp.PSD, d)], cost=[-sigma, sigma],
+        rhs=np.concatenate([-np.ones(d), np.zeros(len(null))]),
+        stacks=[np.concatenate([-units, null]), np.concatenate([np.zeros_like(units), -null])])
+
+
+def _null_space_bracket(space: _DataSpace, sol: sdp.ConicSolution) -> tuple:
+    """(lower, upper, state, sensitivity) from any iterate of
+    _null_space_problem.
+
+    upper is at least the robustness of state, the PSD part of sigma + N(t)
+    scaled to trace 1, since Diag(D) scaled alike and lifted by its
+    eigenvalue defect majorizes it.  lower bounds the robustness of every
+    state that matches the kept directions: with Y the primal's first block
+    (its diagonal set to exactly 1), e = max(0, -lambda_min(Y)), G the
+    projection of Y - X onto the row space and s = max(0, -lambda_min(Y -
+    G)), (Y + e 1)/(1 + e) is a feasible dual point of the robustness
+    program and Tr[G rho] = Tr[G sigma] for every such state, so lower =
+    (Tr[G sigma] - s + e)/(1 + e) - 1.  G = m 1 + sum_i c_i O_i is built
+    from the data, and sensitivity sum_i |c_i| bounds how far lower moves
+    per unit of data mismatch.
+    """
+    d = space.sigma.shape[0]
+    rho = space.sigma + _matrices(sol.y[d:], space.null)
+    state, trace = _unit_trace_psd_part(rho)
+    upper = _majorant_bound(sol.y[:d], state, trace)
+    y_mat = sol.x[0] + np.diag(1.0 - np.diag(sol.x[0]))
+    a = _coords(y_mat - sol.x[1], space.span)
+    g = _matrices(a, space.span)
+    shift = max(0.0, -float(jacobi_eigvalsh(y_mat)[0]))
+    s = max(0.0, -float(jacobi_eigvalsh(y_mat - g)[0]))
+    lower = (float(np.trace(g @ space.sigma).real) - s + shift) / (1.0 + shift) - 1.0
+    return lower, upper, state, float(np.sum(np.abs((space.weights @ a)[1:])))
+
+
+def _majorant_bound(diagonal: np.ndarray, state: np.ndarray, trace: float) -> float:
+    """Tr D + d * defect - 1 with D = Diag(diagonal) / trace and defect =
+    max(0, -lambda_min(D - state)): at least the robustness of state."""
+    majorant = np.diag(diagonal / trace)
+    defect = max(0.0, -float(jacobi_eigvalsh(majorant - state)[0]))
+    return float(np.trace(majorant).real) + len(diagonal) * defect - 1.0
 
 
 def min_roc_from_data(data: WitnessDataset, slack=0.0, tol: float = 1e-8) -> DataRocResult:
@@ -435,74 +518,86 @@ def min_roc_from_data(data: WitnessDataset, slack=0.0, tol: float = 1e-8) -> Dat
 
     First decides whether a state matches the data, raising
     InfeasibleDataError when even the best state misses some expectation by
-    more than FEASIBILITY_TOL; then solves _joint_problem: the least Tr D
-    over diagonal D >= rho, jointly over the state and D, under the
+    more than FEASIBILITY_TOL; then solves a joint program for the least
+    Tr D over diagonal D >= rho, jointly over the state and D, under the
     expectation constraints.  `slack` relaxes each equality to an interval
-    of that half-width (scalar or per-observable).  Values below 1e-6 are
-    refined and values at or below 1e-9 are 0, as in `roc_exact`.
+    of that half-width (scalar or per-observable), and poses _joint_problem;
+    exact data pose _null_space_problem.  Values below 1e-6 are refined and
+    values at or below 1e-9 are 0, as in `roc_exact`.
 
-    The decision takes no solve when sigma_ls is a full-rank state that
-    matches every row (_least_squares): the data are then consistent and pin
-    no pure state, and `deviation` is sigma_ls's, floored at 0.  When the
-    identity and the observables also have rank d^2, exact data are
-    complete: sigma_ls is the only consistent state, and the answer is
-    roc_exact(sigma_ls) with sigma_ls as the state and no joint program.
-    Otherwise phase 1 (_phase1_deviation) measures the deviation.  When it
-    shows that the data pin down a single pure state, the joint program has
-    no interior point and the value is that state's l1 coherence, its
-    robustness (the one-point case of facial reduction).
+    The decision takes no solve when sigma (_least_squares) is a full-rank
+    state that matches every row: the data are then consistent and pin no
+    pure state, and `deviation` is sigma's, floored at 0.  Otherwise phase 1
+    (_phase1_deviation) measures the deviation.  When it shows that the data
+    pin down a single pure state, the joint program has no interior point
+    and the value is that state's l1 coherence, its robustness (the
+    one-point case of facial reduction).  Exact data whose rows span the
+    Hermitian matrices (a null space of dimension 0) are answered by
+    roc_exact(sigma), with sigma as the state and no joint program.  When
+    phase 1 stalls off the data, the joint program still runs, and its
+    answer stands when its state matches every row within FEASIBILITY_TOL:
+    that state shows the data consistent, and its mismatch is `deviation`.
+    Otherwise phase 1's SolverError is raised.
 
-    When the joint solve stalls, its best iterate answers if _joint_bracket
-    closes: its state matches the data within FEASIBILITY_TOL (mismatch
-    delta) and lower - delta * sensitivity <= upper <= lower +
-    CROSS_CHECK_TOL; the value is then upper, the robustness bound of that
-    state.  Otherwise the SolverError is raised.
-
-    Exact data (no slack) whose observables and the identity are linearly
-    dependent pose the joint program on the rows that _least_squares keeps,
-    and the state it returns must match every observable within
-    FEASIBILITY_TOL, else SolverError.
+    When the joint solve stalls, its best iterate answers if the program's
+    bracket (_joint_bracket, _null_space_bracket) closes: its state matches
+    the data within FEASIBILITY_TOL (mismatch delta) and lower - delta *
+    sensitivity <= upper <= lower + CROSS_CHECK_TOL; the value is then
+    upper, the robustness bound of that state.  Otherwise the SolverError
+    is raised.
     """
-    k = len(data.observables)
+    d, k = data.dim, len(data.observables)
     slack_arr = np.broadcast_to(np.asarray(slack, dtype=float), (k,)).copy()
     if not np.all(np.isfinite(slack_arr)) or np.any(slack_arr < 0.0):
         raise ValueError("slack must be finite and nonnegative")
     relaxed = bool(np.any(slack_arr > 0.0))
 
-    kept, _, sigma, deviation, complete = _least_squares(data, slack_arr)
-    if deviation <= FEASIBILITY_TOL and float(jacobi_eigvalsh(sigma)[0]) > FEASIBILITY_TOL:
-        deviation = max(0.0, deviation)
-        if not relaxed and complete:
-            return DataRocResult(value=roc_exact(sigma, tol).value, state=sigma,
-                                 deviation=deviation)
+    space = _least_squares(data, slack_arr)
+    stalled = None
+    if (space.deviation <= FEASIBILITY_TOL
+            and float(jacobi_eigvalsh(space.sigma)[0]) > FEASIBILITY_TOL):
+        deviation = max(0.0, space.deviation)
     else:
-        deviation, phase1_state = _phase1_deviation(data, slack_arr, tol)
-        pinned = _pinned_state(data, slack_arr, phase1_state)
-        if pinned is not None:
-            value = l1_coherence(pinned)  # a pure state's robustness is its l1 coherence
-            return DataRocResult(value=value if value > VALUE_FLOOR else 0.0, state=pinned,
-                                 deviation=deviation)
+        try:
+            deviation, phase1_state = _phase1_deviation(data, slack_arr, tol)
+        except sdp.SolverError as exc:
+            # the joint program's state, checked below, can show consistency
+            stalled = exc
+        else:
+            pinned = _pinned_state(data, slack_arr, phase1_state)
+            if pinned is not None:
+                value = l1_coherence(pinned)  # a pure state's robustness is its l1 coherence
+                return DataRocResult(value=value if value > VALUE_FLOOR else 0.0, state=pinned,
+                                     deviation=deviation)
 
-    # only the exact program lacks a surplus variable per observable row, so
-    # it alone drops the rows that others span; every row was checked above
     if relaxed:
-        kept = data
-    kept_slack = slack_arr[:len(kept.observables)]
-    problem = _joint_problem(kept, kept_slack)
+        problem = _joint_problem(data, slack_arr)
+        bracket = partial(_joint_bracket, data, slack_arr)
+    elif len(space.null) == 0:
+        if stalled is not None:
+            raise stalled
+        return DataRocResult(value=roc_exact(space.sigma, tol).value, state=space.sigma,
+                             deviation=deviation)
+    else:
+        problem = _null_space_problem(space)
+        bracket = partial(_null_space_bracket, space)
+    # Tr D - 1: the --slack program's primal value, or the exact program's D
+    excess = ((lambda sol: float(sol.primal_value) - 1.0) if relaxed
+              else (lambda sol: float(np.sum(sol.y[:d])) - 1.0))
     try:
-        sol, value = solve_robustness(problem, None, tol,
-                                      lambda sol: float(sol.primal_value) - 1.0)
-        state, _ = _unit_trace_psd_part(sol.x[1])
+        sol, value = solve_robustness(problem, None, tol, excess)
+        state = bracket(sol)[2]
     except sdp.SolverError as exc:
         # a stalled solve answers from its best iterate when the bracket closes
-        lower, upper, state, sensitivity = _joint_bracket(kept, kept_slack, exc.solution)
-        delta = _deviation(kept, kept_slack, state)
+        lower, upper, state, sensitivity = bracket(exc.solution)
+        delta = _deviation(data, slack_arr, state)
         if not (delta <= FEASIBILITY_TOL
                 and lower - delta * sensitivity <= upper <= lower + CROSS_CHECK_TOL):
             raise
         value = upper if upper > VALUE_FLOOR else 0.0
-    if kept is not data:
-        delta = _deviation(data, slack_arr, state)
-        if not delta <= FEASIBILITY_TOL:
-            raise sdp.SolverError(f"the state misses a dropped observable row by {delta:.3e}")
+    if stalled is not None:
+        deviation = _deviation(data, slack_arr, state)
+        if not deviation <= FEASIBILITY_TOL:
+            raise stalled
+        deviation = max(0.0, deviation)
     return DataRocResult(value=value, state=state, deviation=deviation)

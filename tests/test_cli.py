@@ -104,7 +104,7 @@ OVERFLOW_FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures",
 
 
 def test_min_roc_overflow_exit_two(monkeypatch, capsys):
-    # every solve stops at its start point; sigma_ls shows that the data are
+    # every solve stops at its start point; sigma shows that the data are
     # consistent, and the joint solve's bracket is open there, so exit 2
     real_solve = sdp.solve
 
@@ -265,11 +265,11 @@ def test_min_roc_answers_an_observable_listed_twice(tmp_path, capsys):
 
 
 def test_min_roc_answers_nearly_dependent_complete_qubit_data(tmp_path, capsys):
-    # X, Z and X + eps Y: at eps = 2e-4 the third row lies just outside the
-    # drop floor of witness._least_squares, so it is kept; at 1e-4 it is
-    # dropped.  The rows have rank 4 either way, so the data are complete,
-    # roc_exact answers at sigma_ls, and a qubit's robustness is its l1 norm.
-    # The fit poses the kept rows as they are, barely independent at 2e-4
+    # X, Z and X + eps Y: the X rows' components along the least singular
+    # direction, about eps / sqrt 2, lie far above witness.DROP_TOL, so no
+    # direction is dropped.  The rows span the qubit Hermitian matrices, so
+    # roc_exact answers at sigma, and a qubit's robustness is its l1 norm.
+    # The fit poses the barely independent rows
     rho = random_state(2, seed=44)
     for eps in (2e-4, 1e-4):
         data = WitnessDataset.from_state(rho, [PAULI_X, PAULI_Z, PAULI_X + eps * PAULI_Y])

@@ -477,7 +477,7 @@ def test_games_and_data_programs_take_the_stacked_rows(monkeypatch):
     best_witness_from_data(data)
     min_roc_from_data(data)
     min_roc_from_data(data, slack=0.01)
-    # the joint program for each data solve (sigma_ls is a full-rank state
+    # the joint program for each data solve (sigma is a full-rank state
     # that matches the data, so phase 1 does not run), plus the fit and the
     # two measurement programs (three hypotheses each, so neither game is
     # answered in closed form): none is the robustness program

@@ -22,10 +22,14 @@ from cohrob.witness import (
     InfeasibleDataError,
     InvalidWitnessError,
     WitnessDataset,
+    DROP_TOL,
+    _coords,
     _deviation,
     _joint_bracket,
     _joint_problem,
     _least_squares,
+    _null_space_bracket,
+    _null_space_problem,
     _phase1_deviation,
     best_witness_from_data,
     min_roc_from_data,
@@ -191,19 +195,21 @@ def test_best_witness_output_is_valid_witness():
 
 
 def _fit_with_perturbed_dual(monkeypatch, perturb):
-    """best_witness_from_data on a qutrit dataset whose solve returns perturb(y)."""
+    """best_witness_from_data on a qutrit dataset whose solve returns
+    perturb(y, e), e being the identity's coordinates in the row space."""
     real_solve = sdp.solve
-
-    def perturbed(problem, **options):
-        sol = real_solve(problem, **options)
-        sol.y = perturb(sol.y)
-        return sol
-
-    monkeypatch.setattr(sdp, "solve", perturbed)
     data = WitnessDataset.from_state(random_state(3, seed=14), [
         np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]),
         np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]),
     ])
+    eye = _coords(np.eye(3), _least_squares(data, np.zeros(2)).span)
+
+    def perturbed(problem, **options):
+        sol = real_solve(problem, **options)
+        sol.y = perturb(sol.y, eye)
+        return sol
+
+    monkeypatch.setattr(sdp, "solve", perturbed)
     return best_witness_from_data(data)
 
 
@@ -211,7 +217,7 @@ def test_best_witness_rejects_invalid_witness(monkeypatch):
     # the optimal W has its top eigenvalue at the cap of 1; raising the
     # offset by 0.1 lifts it past the cap
     with pytest.raises(sdp.SolverError, match="eig_excess"):
-        _fit_with_perturbed_dual(monkeypatch, lambda y: y + 0.1 * np.eye(y.size)[-1])
+        _fit_with_perturbed_dual(monkeypatch, lambda y, eye: y + 0.1 * eye)
 
 
 # -- minimal robustness from data ---------------------------------------------------------
@@ -239,7 +245,7 @@ def _random_observables(d, k, seed):
 
 @pytest.mark.parametrize("slack", [0.0, 0.01])
 def test_min_roc_interior_data_take_no_phase_1(slack, phase1_calls):
-    # sigma_ls is a full-rank state that matches the data: it shows that they
+    # sigma is a full-rank state that matches the data: it shows that they
     # are consistent and pin no pure state, so only the joint program runs
     rho = random_state(3, seed=5)
     data = WitnessDataset.from_state(rho, _random_observables(3, 3, 5))
@@ -252,7 +258,7 @@ def test_min_roc_interior_data_take_no_phase_1(slack, phase1_calls):
 
 def test_min_roc_complete_qutrit_takes_roc_exact(phase1_calls, recorded_solves):
     # 8 independent observables and the identity span the Hermitian 3 x 3
-    # matrices, so sigma_ls is the only consistent state
+    # matrices, so sigma is the only consistent state
     rho = random_state(3, seed=12)
     data = WitnessDataset.from_state(rho, _random_observables(3, 8, 12))
     result = min_roc_from_data(data)
@@ -266,30 +272,47 @@ def test_min_roc_complete_qutrit_takes_roc_exact(phase1_calls, recorded_solves):
 
 @pytest.mark.parametrize("eps", [1e-4, 1e-5, 1e-6])
 def test_nearly_dependent_complete_qubit_data_take_the_all_rows_point(eps, phase1_calls):
-    # X + eps Y lies within the drop floor of the span of 1, X and Z, so the
-    # fit drops it; the four rows still have rank 4, so sigma_ls of every
-    # row is the one matrix that matches them, and roc_exact answers there
+    # the least singular value of the rows is about eps, and the X rows'
+    # components along its direction, about eps / sqrt 2, lie far above
+    # DROP_TOL, so no direction is dropped: the four rows span the qubit
+    # Hermitian matrices, sigma is the one matrix that matches them, and
+    # roc_exact answers there
     rho = random_state(2, seed=44)
     data = WitnessDataset.from_state(rho, [PAULI_X, PAULI_Z, PAULI_X + eps * PAULI_Y])
-    _, index, sigma, deviation, complete = _least_squares(data, np.zeros(3))
-    assert index == [0, 1] and complete and deviation <= FEASIBILITY_TOL
+    space = _least_squares(data, np.zeros(3))
+    assert len(space.null) == 0 and space.deviation <= FEASIBILITY_TOL
     result = min_roc_from_data(data)
     assert abs(result.value - l1_coherence(rho)) < CROSS_CHECK_TOL  # a qubit's robustness
-    assert np.array_equal(result.state, sigma)
+    assert np.array_equal(result.state, space.sigma)
     fit = best_witness_from_data(data)
-    assert fit.coefficients[2] == 0.0 and validate_witness(fit.witness).valid
-    assert fit.bound <= result.value + CROSS_CHECK_TOL
+    assert validate_witness(fit.witness).valid
+    assert abs(fit.bound - result.value) < CROSS_CHECK_TOL
     assert phase1_calls == []
+
+
+@pytest.mark.parametrize("eps", [1e-10, 1e-12, 1e-14])
+def test_nearly_dependent_qubit_rows_drop_their_direction_and_match_every_row(eps):
+    # the X rows' components along the least singular direction, about
+    # eps / sqrt 2, lie below DROP_TOL, so that direction is dropped: the
+    # answer is the least robustness over states matching X and Z, and its
+    # state matches the third row too.  Kept, the direction would carry the
+    # expectations' roundoff amplified by 1/eps
+    rho = random_state(2, seed=44)
+    data = WitnessDataset.from_state(rho, [PAULI_X, PAULI_Z, PAULI_X + eps * PAULI_Y])
+    assert eps <= DROP_TOL
+    assert len(_least_squares(data, np.zeros(3)).null) == 1
+    result = min_roc_from_data(data)
+    assert result.value <= l1_coherence(rho) + CROSS_CHECK_TOL
+    assert _deviation(data, np.zeros(3), result.state) <= FEASIBILITY_TOL
 
 
 @pytest.mark.parametrize("eps", [1.1e-4, 1.5e-4, 2e-4])
 def test_best_witness_poses_barely_independent_qubit_rows(eps):
-    # X + eps Y lies just outside the drop floor, so the fit keeps all three
-    # observables; _least_squares is the one rank rule, and the engine
-    # takes the rows it keeps
+    # the fit poses every direction of these barely independent rows:
+    # _least_squares is the one rank rule, and the engine takes its row space
     rho = random_state(2, seed=44)
     data = WitnessDataset.from_state(rho, [PAULI_X, PAULI_Z, PAULI_X + eps * PAULI_Y])
-    assert _least_squares(data, np.zeros(3))[1] == [0, 1, 2]
+    assert len(_least_squares(data, np.zeros(3)).span) == 4
     fit = best_witness_from_data(data)
     assert validate_witness(fit.witness).valid
     assert abs(fit.bound - l1_coherence(rho)) < CROSS_CHECK_TOL  # a qubit's robustness
@@ -316,24 +339,15 @@ def test_barely_independent_qutrit_rows_are_answered_by_both_programs():
 
 
 def test_nearly_dependent_rows_are_never_refused_as_bad_input():
-    # consistent data with O_1 + eps O_3 appended: the row is dropped or kept
-    # by _least_squares alone, and neither program may take the data for
-    # malformed input (ValueError).  At d = 3 a SolverError is allowed: it
-    # is ROADMAP item 1's open case, a stall or a state from the kept rows
-    # that misses the dropped one.  Qubit data are complete and answered
+    # consistent data with O_1 + eps O_3 appended: its direction is dropped
+    # or kept by _least_squares alone, and both programs answer every
+    # dataset, with the fit's bound below the least robustness
     for d in (2, 3):
         for seed in range(6):
             for eps in np.logspace(-8, -2, 13):
                 data = _nearly_dependent_data(d, seed, seed, eps)
-                answers = []
-                for program in (best_witness_from_data, min_roc_from_data):
-                    try:
-                        answers.append(program(data))
-                    except sdp.SolverError:
-                        pass
-                assert d == 3 or len(answers) == 2
-                if len(answers) == 2:
-                    assert answers[0].bound <= answers[1].value + CROSS_CHECK_TOL
+                fit, result = best_witness_from_data(data), min_roc_from_data(data)
+                assert fit.bound <= result.value + CROSS_CHECK_TOL
 
 
 def test_min_roc_phase1_stall_that_misses_the_data_raises(monkeypatch, phase1_calls):
@@ -364,7 +378,7 @@ def test_min_roc_single_diagonal_observable(recorded_solves):
     result = min_roc_from_data(data)
     assert result.value == 0.0
     assert abs(np.trace(np.diag([1.0, -1.0, 0.0]) @ result.state).real - 0.4) < 1e-6
-    # sigma_ls is a full-rank state that matches the data, so no phase 1:
+    # sigma is a full-rank state that matches the data, so no phase 1:
     # the joint program, and its refine continued from its final iterate
     assert [o.tol for o, _ in recorded_solves] == [1e-8, 1e-10]
     (_, first), (refine_opts, refined) = recorded_solves
@@ -403,7 +417,7 @@ def test_min_roc_pinned_pure_qutrit(seed, recorded_solves, phase1_calls):
     assert abs(result.value - l1_coherence(rho)) < 1e-6
     assert np.max(np.abs(result.state - rho)) < 1e-6
     assert len(recorded_solves) == 1  # phase 1 only: the value is a closed form
-    assert len(phase1_calls) == 1  # sigma_ls is not a full-rank state here
+    assert len(phase1_calls) == 1  # sigma is not a full-rank state here
     # the joint program has no interior point here, but the fit's start is
     # interior whatever the data
     fit = best_witness_from_data(data)
@@ -433,7 +447,7 @@ def test_min_roc_overflow_is_a_solver_failure(load_fixture, recorded_solves):
     _, phase1 = recorded_solves[0]
     assert phase1.status is sdp.SolveStatus.NUMERICAL_FAILURE
     assert deviation == max(0.0, _deviation(data, slack, state))
-    # min_roc_from_data needs no phase 1 here, since sigma_ls is a full-rank
+    # min_roc_from_data needs no phase 1 here, since sigma is a full-rank
     # state that matches the data
     result = min_roc_from_data(data, slack=1e-7)
     assert len(recorded_solves) == 2
@@ -457,17 +471,19 @@ def _dependent_twins(extra):
 
 @pytest.mark.parametrize("extra", ["repeated", "identity"])
 def test_min_roc_dependent_rows_give_the_twin_value(extra):
-    # the exact joint program has no surplus variable per row, so the rows
-    # that the identity and earlier observables span are dropped before it
-    # is built; the returned state is checked against every row
+    # a row listed again is posed once, at its first listing, so both
+    # datasets have the same coordinates to the bit, and the same answers
     data, twin = _dependent_twins(extra)
-    kept, index, _, _, complete = _least_squares(data, np.zeros(4))
-    assert len(kept.observables) == 3 and index == [0, 1, 3] and not complete
-    assert _least_squares(twin, np.zeros(3))[0] is twin
+    space, twin_space = _least_squares(data, np.zeros(4)), _least_squares(twin, np.zeros(3))
+    assert len(space.span) == 4 and len(space.null) == 5
+    for name in ("sigma", "span", "null"):
+        assert np.array_equal(getattr(space, name), getattr(twin_space, name))
+    assert np.array_equal(np.delete(space.weights, 3, axis=0), twin_space.weights)
+    assert not space.weights[3].any()
     result = min_roc_from_data(data)
     assert result.value == min_roc_from_data(twin).value
     assert _deviation(data, np.zeros(4), result.state) <= FEASIBILITY_TOL
-    # the fit drops the same row, whose coefficient is exactly 0
+    # the fit gives the repeated listing coefficient exactly 0
     fit, twin_fit = best_witness_from_data(data), best_witness_from_data(twin)
     assert fit.bound == twin_fit.bound
     assert fit.coefficients[2] == 0.0
@@ -481,7 +497,7 @@ def test_min_roc_inconsistent_data_raises(phase1_calls):
     data = WitnessDataset.build([PAULI_X], [2.0])
     with pytest.raises(InfeasibleDataError) as err:
         min_roc_from_data(data)
-    # sigma_ls matches <X> = 2 but is no state, so phase 1 measures the
+    # sigma matches <X> = 2 but is no state, so phase 1 measures the
     # deviation: the states nearest the data have <X> = 1
     assert len(phase1_calls) == 1
     assert abs(err.value.deviation - 1.0) < 1e-6
@@ -541,14 +557,32 @@ def _thin_qubit_data():
     return WitnessDataset.from_state(rho, [PAULI_X, PAULI_Z])
 
 
-@pytest.mark.parametrize("make_data", [_rank_one_qutrit_data, _thin_qubit_data])
+BRACKET_SLACK = 1e-3  # the --slack program's half-width in the bracket tests
+
+
+def _joint(program, data):
+    """(problem, bracket, slack) of min_roc_from_data's joint program for
+    data: the --slack program at BRACKET_SLACK or the exact program."""
+    k = len(data.observables)
+    if program == "slack":
+        slack = np.full(k, BRACKET_SLACK)
+        return _joint_problem(data, slack), lambda sol: _joint_bracket(data, slack, sol), slack
+    space = _least_squares(data, np.zeros(k))
+    return _null_space_problem(space), lambda sol: _null_space_bracket(space, sol), np.zeros(k)
+
+
+@pytest.mark.parametrize("make_data, program", [
+    pytest.param(_rank_one_qutrit_data, "slack", id="_rank_one_qutrit_data"),
+    pytest.param(_thin_qubit_data, "slack", id="_thin_qubit_data"),
+    pytest.param(_rank_one_qutrit_data, "exact", id="exact-_rank_one_qutrit_data"),
+    pytest.param(_thin_qubit_data, "exact", id="exact-_thin_qubit_data"),
+])
 @pytest.mark.parametrize("max_iter", [2, 5, 10])
-def test_joint_bracket_holds_at_any_iterate(make_data, max_iter):
+def test_joint_bracket_holds_at_any_iterate(make_data, program, max_iter):
     data = make_data()
-    slack = np.zeros(len(data.observables))
-    optimal = min_roc_from_data(data).value
-    sol = sdp.solve(_joint_problem(data, slack), max_iter=max_iter)
-    lower, upper, state, sensitivity = _joint_bracket(data, slack, sol)
+    problem, bracket, slack = _joint(program, data)
+    optimal = min_roc_from_data(data, slack=slack).value
+    lower, upper, state, sensitivity = bracket(sdp.solve(problem, max_iter=max_iter))
     assert lower <= optimal + 1e-9
     # the reference at the tightest tolerance, since roc_exact's value sits
     # above the robustness by up to its tolerance
@@ -556,28 +590,48 @@ def test_joint_bracket_holds_at_any_iterate(make_data, max_iter):
     assert sensitivity > 0.0
 
 
-def test_joint_bracket_closes_at_the_optimum():
+@pytest.mark.parametrize("program", ["slack", "exact"])
+def test_joint_bracket_closes_at_the_optimum(program):
     data = _thin_qubit_data()
-    slack = np.zeros(2)
-    sol = sdp.solve(_joint_problem(data, slack))
+    problem, bracket, slack = _joint(program, data)
+    sol = sdp.solve(problem)
     assert sol.status is sdp.SolveStatus.OPTIMAL
-    lower, upper, state, _ = _joint_bracket(data, slack, sol)
+    lower, upper, state, _ = bracket(sol)
     assert lower <= upper <= lower + CROSS_CHECK_TOL
-    assert abs(upper - (sol.primal_value - 1.0)) < 1e-7
+    assert abs(upper - min_roc_from_data(data, slack=slack).value) < 1e-7
     assert _deviation(data, slack, state) <= FEASIBILITY_TOL
 
 
-def test_min_roc_stalled_joint_solve_with_wide_bracket_raises(joint_solve_stopped):
+@pytest.mark.parametrize("program", ["slack", "exact"])
+def test_min_roc_stalled_joint_solve_with_wide_bracket_raises(program, joint_solve_stopped):
     data = WitnessDataset.from_state(random_state(3, seed=4), [
         np.diag([1.0, -1.0, 0.0]),
         np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]]),
     ])
+    _, bracket, slack = _joint(program, data)
     with pytest.raises(sdp.SolverError, match="status max_iter") as err:
-        min_roc_from_data(data)
+        min_roc_from_data(data, slack=slack)
     sol = err.value.solution
     assert sol.iterations == 1
-    lower, upper, _, _ = _joint_bracket(data, np.zeros(2), sol)
+    lower, upper, _, _ = bracket(sol)
     assert upper > lower + CROSS_CHECK_TOL
+
+
+def test_high_sensitivity_data_answer_inside_their_bracket(load_fixture, recorded_solves):
+    # data_cli seed 2959 r15/consistent/d3: a data error delta moves the
+    # least robustness by up to about 545 delta.  The program on every
+    # observable row returned 0.94168008 here, below the lower end of its
+    # own exact-data bracket, 0.94168305
+    data = dataset_from_json(load_fixture("high_sensitivity_d3.json")["input"])
+    result = min_roc_from_data(data)
+    _, sol = recorded_solves[-1]
+    assert sol.status is sdp.SolveStatus.OPTIMAL
+    space = _least_squares(data, np.zeros(len(data.observables)))
+    lower, upper, state, sensitivity = _null_space_bracket(space, sol)
+    assert upper <= lower + CROSS_CHECK_TOL and sensitivity > 500.0
+    assert lower <= result.value <= upper + 1e-12
+    assert result.value > 0.94168305
+    assert _deviation(data, np.zeros(len(data.observables)), state) <= FEASIBILITY_TOL
 
 
 @given(st.integers(0, 10 ** 6))
