@@ -9,9 +9,11 @@ data, and every answer is checked by the same dual certificate:
 two-hypothesis games by Helstrom's closed form, with no solve; the canonical
 uniform game over the d clock phases by the robustness program, whose
 program it is, in closed form for a phase-alignable probe and by one solve
-otherwise; every other game by one solve of the measurement program.
-The advantage over the best incoherent probe is capped by one plus the
-robustness of coherence, with equality at the canonical uniform-phase game.
+otherwise; every other game by one solve of the measurement program,
+started strictly feasible at the least-trace closed-form dominating
+operator of the branch and bound below.  The advantage over the best
+incoherent probe is capped by one plus the robustness of coherence, with
+equality at the canonical uniform-phase game.
 For a channel game the best incoherent probe is found by branch and bound
 over the d basis probes: a closed-form dominating operator bounds each
 probe's success from above, and a probe is solved only while its bound could
@@ -36,6 +38,7 @@ POVM_COMPLETENESS_TOL = 1e-9
 BRANCH_DROP_TOL = 1e-12
 EQUALITY_TOL = 1e-5  # verify_operational_theorem: canonical ratio vs 1 + value
 BOUND_SLACK = 1e-6  # verify_operational_theorem: sampled ratios vs the cap 1 + value
+START_SHIFT = 0.01  # _measurement_problem: least eigenvalue of every start slack
 
 
 # -- channels ---------------------------------------------------------------------
@@ -190,27 +193,45 @@ def validate_povm(elements, d: int | None = None) -> None:
         raise ValueError(f"measurement elements sum to identity only within {dev:.3e}")
 
 
-def _optimal_measurement(weighted, tol: float):
-    """max sum_k <A_k, M_k> over POVMs: the optimal measurement and the dual Q.
+def _measurement_problem(weighted):
+    """The measurement program max sum_k <A_k, M_k> over POVMs, and its start.
 
-    The program's dual is min Tr Q subject to Q >= A_k for every k; its
-    optimal Q is read off the dual vector of the same solve, Q = -sum_i y_i B_i.
+    The engine minimizes sum_k <-A_k, M_k> subject to sum_k M_k = 1, posed
+    on the hermitian_basis rows with one stack shared by the m blocks; its
+    dual vector y gives Q = -sum_i y_i B_i.  The start is strictly feasible
+    near a closed-form dual point (the diagonally dominant start of
+    Helmberg, Rendl, Vanderbei & Wolkowicz 1996, as in roc._roc_problem):
+    Q0 = Q_best + START_SHIFT * 1, with Q_best the _majorants point of least
+    trace, so every slack Q0 - A_k has eigenvalues >= START_SHIFT, and
+    M_k = 1/m.  y0 holds the coefficients of -Q0 (hermitian_coords), not
+    its inner products with the basis (entry_coords).
     """
     m, d = len(weighted), weighted[0].shape[0]
-    basis = sdp.hermitian_basis(d)
     eye = np.eye(d, dtype=np.complex128)
     problem = sdp.ConicProblem.build(
         blocks=[(sdp.PSD, d)] * m,
         cost=[-a for a in weighted],
         rhs=sdp.entry_coords(eye),
-        stacks=(basis,) * m,
+        stacks=(sdp.hermitian_basis(d),) * m,
     )
-    y0 = sdp.entry_coords(-1.5 * eye)
-    start = (
-        [eye / m] * m,
-        y0,
-        [as_hermitian(1.5 * eye - a) for a in weighted],
-    )
+    q = _majorants(weighted)
+    q0 = as_hermitian(q[np.argmin(np.trace(q, axis1=-2, axis2=-1).real)]) + START_SHIFT * eye
+    start = ([eye / m] * m, sdp.hermitian_coords(-q0), [as_hermitian(q0 - a) for a in weighted])
+    return problem, start
+
+
+def _optimal_measurement(weighted, tol: float):
+    """max sum_k <A_k, M_k> over POVMs: the optimal measurement and the dual Q.
+
+    The program's dual is min Tr Q subject to Q >= A_k for every k.  One
+    solve from _measurement_problem's start, at the best closed-form
+    majorant, gives both: the optimal Q is read off its dual vector,
+    Q = -sum_i y_i B_i, and the POVM's small completeness defect is spread
+    evenly over its elements.
+    """
+    m, d = len(weighted), weighted[0].shape[0]
+    eye = np.eye(d, dtype=np.complex128)
+    problem, start = _measurement_problem(weighted)
     sol = sdp.solve_or_raise(problem, tol=tol, start=start)
     povm = [as_hermitian(x) for x in sol.x]
     correction = (eye - sum(povm)) / m

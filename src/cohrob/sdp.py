@@ -617,18 +617,37 @@ def hermitian_basis(d: int) -> np.ndarray:
 
 
 def entry_coords(mat) -> np.ndarray:
-    """Coordinates b with <basis_i, M> = b_i for the hermitian_basis order."""
+    """Coordinates b with <basis_i, M> = b_i for the hermitian_basis order.
+
+    This is the adjoint of hermitian_from_coords, not its inverse: each pair
+    element of the basis has squared norm 2, so a pair coordinate is twice
+    the entry's real or imaginary part.  It gives constraint right-hand
+    sides; hermitian_coords gives a dual point's coefficients.
+    """
+    out = hermitian_coords(mat)
+    d = np.asarray(mat).shape[0]
+    out[d:] *= 2.0
+    return out
+
+
+def hermitian_coords(mat) -> np.ndarray:
+    """Coefficients c with sum_i c_i basis_i = M for a Hermitian M: the
+    inverse of hermitian_from_coords, used to enter a dual point y."""
     a = np.asarray(mat, dtype=np.complex128)
     d = a.shape[0]
     pairs = a[np.triu_indices(d, 1)]
     out = np.empty(d * d)
     out[:d] = np.diag(a).real
-    out[d::2] = 2.0 * pairs.real
-    out[d + 1::2] = 2.0 * pairs.imag
+    out[d::2] = pairs.real
+    out[d + 1::2] = pairs.imag
     return out
 
 
 def hermitian_from_coords(y, d: int) -> np.ndarray:
-    """Hermitian matrix sum_i y_i basis_i (inverse map used for dual reads)."""
+    """Hermitian matrix sum_i y_i basis_i, used for dual reads.
+
+    This is the adjoint of entry_coords, not its inverse (the pair elements
+    of the basis have squared norm 2); its inverse is hermitian_coords.
+    """
     y = np.asarray(y, dtype=float)
     return np.tensordot(y, hermitian_basis(d), axes=1)

@@ -21,8 +21,8 @@ def census(*args):
     return [json.loads(line) for line in run.stdout.splitlines()]
 
 
-def check_whole_pool(line, workload, cases):
-    assert line["workload"] == workload and line["seed"] == 1
+def check_whole_pool(line, workload, cases, seed=1):
+    assert line["workload"] == workload and line["seed"] == seed
     assert line["cases"] == cases
     assert line["failed_ops"] == 0
     assert line["failed_cases"] == []
@@ -36,9 +36,12 @@ def test_census_roc_large_seed_1():
     check_whole_pool(line, "roc_large", 48)
 
 
-def test_census_games_seed_1():
-    [line] = census("games", "1")
-    check_whole_pool(line, "games", 384)
+@pytest.mark.parametrize("seed", [1, 2, 5])
+def test_census_games(seed):
+    # the census rule's seeds for games: the measurement program's start
+    # decides the iterates of every general-route solve on them
+    [line] = census("games", str(seed))
+    check_whole_pool(line, "games", 384, seed)
 
 
 def test_census_certify_small_seed_1():

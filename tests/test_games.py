@@ -4,12 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cohrob import games
 from cohrob.games import (
     CROSS_CHECK_TOL,
     ChannelGame,
     PhaseGame,
     _majorant_bound,
     _majorants,
+    _measurement_problem,
     _optimal_measurement,
     advantage_ratio,
     apply_instrument,
@@ -27,6 +29,7 @@ from cohrob.games import (
     verify_operational_theorem,
 )
 from cohrob.linalg import (
+    as_hermitian,
     basis_projector,
     dephase,
     density_of,
@@ -435,6 +438,58 @@ def test_measurement_certificate_rejects_wide_bracket():
     loose = majorant + 10.0 * CROSS_CHECK_TOL * np.eye(2)
     with pytest.raises(SolverError, match="wider than"):
         check_measurement_certificate(weighted, povm, loose)
+
+
+# -- the measurement program's start ------------------------------------------------------------
+
+
+def _random_game(i):
+    """The i-th seeded random game: d = 2..6, m = 3..d + 2 outcomes, phase
+    games at even i and channel games at odd i, with a random mixed probe."""
+    rng = np.random.default_rng([33, i])
+    d = 2 + i % 5
+    m = int(rng.integers(3, d + 3))
+    seed = int(rng.integers(2 ** 31))
+    make = random_phase_game if i % 2 == 0 else random_channel_game
+    game = make(d, m, seed=seed)
+    return [p * s for p, s in zip(game.priors, game.states(random_state(d, seed=seed)))]
+
+
+def _uniform_start_problem(weighted):
+    """_measurement_problem with the start it replaced: Q = 1.5 * 1, M_k = 1/m."""
+    problem, _ = _measurement_problem(weighted)
+    m, d = len(weighted), weighted[0].shape[0]
+    eye = np.eye(d, dtype=np.complex128)
+    start = ([eye / m] * m, sdp.entry_coords(-1.5 * eye),
+             [as_hermitian(1.5 * eye - a) for a in weighted])
+    return problem, start
+
+
+@pytest.mark.parametrize("i", range(20))
+def test_measurement_start_is_strictly_dual_feasible(i):
+    # a feasible start keeps every iterate dual-feasible, so each iterate's Q
+    # dominates the A_k up to roundoff, which the certificate relies on
+    problem, (x0, y0, s0) = _measurement_problem(_random_game(i))
+    for cost, stack, s in zip(problem.cost, problem.stacks, s0):
+        residual = cost - np.tensordot(y0, stack, axes=1) - s
+        assert np.max(np.abs(residual)) <= 1e-14
+        assert np.linalg.eigvalsh(s)[0] >= games.START_SHIFT - 1e-12
+    d = x0[0].shape[0]
+    assert np.max(np.abs(sum(x0) - np.eye(d))) <= 1e-15
+
+
+def test_measurement_start_cuts_iterations(recorded_solves, monkeypatch):
+    # the closed-form start answers the same program: every pair is certified
+    # and agrees with the uniform start's, in fewer iterations
+    pool = [_random_game(i) for i in range(120)]
+    values = [check_measurement_certificate(w, *_optimal_measurement(w, 1e-8)) for w in pool]
+    iterations = [sol.iterations for _, sol in recorded_solves]
+    assert len(iterations) == len(pool)
+    assert np.mean(iterations) <= 7.5  # 7.03 here, 8.96 from the uniform start
+    monkeypatch.setattr(games, "_measurement_problem", _uniform_start_problem)
+    for w, value in zip(pool, values):
+        uniform = check_measurement_certificate(w, *_optimal_measurement(w, 1e-8))
+        assert abs(value - uniform) <= CROSS_CHECK_TOL
 
 
 # -- operational theorem -----------------------------------------------------------------------

@@ -3,7 +3,12 @@ import numpy as np
 import pytest
 
 from cohrob import sdp
-from cohrob.games import random_channel_game, random_phase_game, success_probability
+from cohrob.games import (
+    _measurement_problem,
+    random_channel_game,
+    random_phase_game,
+    success_probability,
+)
 from cohrob.jsonio import matrix_from_json
 from cohrob.linalg import (
     as_hermitian,
@@ -21,6 +26,7 @@ from cohrob.sdp import (
     SolverError,
     entry_coords,
     hermitian_basis,
+    hermitian_coords,
     hermitian_from_coords,
     realify,
     solve,
@@ -85,6 +91,20 @@ def test_entry_coords_layout_and_adjoint_identity():
     y = rng.normal(size=16)
     lhs = float(np.trace(hermitian_from_coords(y, 4) @ m).real)
     assert abs(lhs - float(y @ coords)) < 1e-12
+
+
+@pytest.mark.parametrize("d", range(2, 7))
+def test_hermitian_coords_invert_from_coords(d):
+    # a dual point Q enters the solver as the coefficients of -Q, which
+    # entry_coords (the adjoint, doubling the pairs) does not give
+    rng = np.random.default_rng(d)
+    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    q = g + g.conj().T
+    y0 = hermitian_coords(-q)
+    assert np.max(np.abs(hermitian_from_coords(y0, d) + q)) <= 1e-15
+    assert np.array_equal(hermitian_coords(hermitian_from_coords(y0, d)), y0)
+    assert np.array_equal(entry_coords(q)[:d], hermitian_coords(q)[:d])
+    assert np.array_equal(entry_coords(q)[d:], 2.0 * hermitian_coords(q)[d:])
 
 
 def _hermitian_basis_by_loop(d):
@@ -629,23 +649,23 @@ def test_step_length_test_breakdown_is_none():
 def test_shared_constraint_stack_changes_no_bits():
     # the measurement program poses one stack for every block; the solver
     # holds it once and broadcasts A^T y, which must give the bits of holding
-    # one copy per block
+    # one copy per block, from the start the program runs
     rho = random_state(3, seed=12)
     game = random_phase_game(3, 4, seed=5)
     weighted = [p * st for p, st in zip(game.priors, game.states(rho))]
-    m, d = len(weighted), 3
-    basis, eye = hermitian_basis(d), np.eye(d, dtype=np.complex128)
-    start = ([eye / m] * m, entry_coords(-1.5 * eye),
-             [as_hermitian(1.5 * eye - a) for a in weighted])
+    posed, start = _measurement_problem(weighted)
+    basis = hermitian_basis(3)
+    assert posed.shared_stack and all(st is basis for st in posed.stacks)
 
     def solved(stacks, shared=None):
-        problem = ConicProblem.build(blocks=[(PSD, d)] * m, cost=[-a for a in weighted],
-                                     rhs=entry_coords(eye), stacks=stacks)
+        problem = ConicProblem.build(blocks=posed.blocks, cost=posed.cost,
+                                     rhs=posed.rhs, stacks=stacks)
         if shared is not None:  # hold the stack once per block
             object.__setattr__(problem, "shared_stack", shared)
         assert problem.shared_stack == (shared is None)
         return solve_or_raise(problem, start=start)
 
+    m = len(weighted)
     one = solved((basis,) * m)
     for other in (solved([basis.copy() for _ in range(m)]), solved((basis,) * m, shared=False)):
         assert other.iterations == one.iterations
