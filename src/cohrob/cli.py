@@ -286,9 +286,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# main's parser: built on main's first call, not at import, and reused by
+# every later call; parse_args fills a fresh namespace each time
+_PARSER = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except InfeasibleDataError as exc:

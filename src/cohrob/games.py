@@ -193,7 +193,7 @@ def validate_povm(elements, d: int | None = None) -> None:
         raise ValueError(f"measurement elements sum to identity only within {dev:.3e}")
 
 
-def _measurement_problem(weighted):
+def _measurement_problem(weighted, majorants=None):
     """The measurement program max sum_k <A_k, M_k> over POVMs, and its start.
 
     The engine minimizes sum_k <-A_k, M_k> subject to sum_k M_k = 1, posed
@@ -204,7 +204,8 @@ def _measurement_problem(weighted):
     Q0 = Q_best + START_SHIFT * 1, with Q_best the _majorants point of least
     trace, so every slack Q0 - A_k has eigenvalues >= START_SHIFT, and
     M_k = 1/m.  y0 holds the coefficients of -Q0 (hermitian_coords), not
-    its inner products with the basis (entry_coords).
+    its inner products with the basis (entry_coords).  majorants, when
+    given, is _majorants(weighted) already computed by the caller.
     """
     m, d = len(weighted), weighted[0].shape[0]
     eye = np.eye(d, dtype=np.complex128)
@@ -214,13 +215,13 @@ def _measurement_problem(weighted):
         rhs=sdp.entry_coords(eye),
         stacks=(sdp.hermitian_basis(d),) * m,
     )
-    q = _majorants(weighted)
+    q = _majorants(weighted) if majorants is None else majorants
     q0 = as_hermitian(q[np.argmin(np.trace(q, axis1=-2, axis2=-1).real)]) + START_SHIFT * eye
     start = ([eye / m] * m, sdp.hermitian_coords(-q0), [as_hermitian(q0 - a) for a in weighted])
     return problem, start
 
 
-def _optimal_measurement(weighted, tol: float):
+def _optimal_measurement(weighted, tol: float, majorants=None):
     """max sum_k <A_k, M_k> over POVMs: the optimal measurement and the dual Q.
 
     The program's dual is min Tr Q subject to Q >= A_k for every k.  One
@@ -231,7 +232,7 @@ def _optimal_measurement(weighted, tol: float):
     """
     m, d = len(weighted), weighted[0].shape[0]
     eye = np.eye(d, dtype=np.complex128)
-    problem, start = _measurement_problem(weighted)
+    problem, start = _measurement_problem(weighted, majorants)
     sol = sdp.solve_or_raise(problem, tol=tol, start=start)
     povm = [as_hermitian(x) for x in sol.x]
     correction = (eye - sum(povm)) / m
@@ -306,12 +307,12 @@ def _majorants(weighted) -> np.ndarray:
     return q
 
 
-def _majorant_bound(weighted) -> np.ndarray:
-    """min_r Tr Q_r over _majorants, one bound per leading index: an upper
-    bound on the optimal success by weak duality, since Tr Q >= sum_k
+def _majorant_bound(majorants) -> np.ndarray:
+    """min_r Tr Q_r over a _majorants stack, one bound per leading index: an
+    upper bound on the optimal success by weak duality, since Tr Q >= sum_k
     <A_k, M_k> for every POVM when Q dominates every A_k (Yuen, Kennedy &
     Lax, IEEE Trans. Inf. Theory 21, 1975)."""
-    return np.min(np.trace(_majorants(weighted), axis1=-2, axis2=-1).real, axis=-1)
+    return np.min(np.trace(majorants, axis1=-2, axis2=-1).real, axis=-1)
 
 
 def check_measurement_certificate(weighted, povm, majorant) -> float:
@@ -361,15 +362,15 @@ def success_probability(game, rho, tol: float = 1e-8):
     return _certified(game, rho, _weighted(game, rho), tol)
 
 
-def _certified(game, rho, weighted, tol: float):
+def _certified(game, rho, weighted, tol: float, majorants=None):
     """success_probability's route and check, for a validated probe rho and
-    its weighted states."""
+    its weighted states; majorants is handed to _optimal_measurement."""
     if len(weighted) == 2:
         povm, majorant = _helstrom_measurement(weighted)
     elif _is_canonical(game):
         povm, majorant = _canonical_measurement(game, rho, tol)
     else:
-        povm, majorant = _optimal_measurement(weighted, tol)
+        povm, majorant = _optimal_measurement(weighted, tol, majorants)
     return check_measurement_certificate(weighted, povm, majorant), povm
 
 
@@ -382,8 +383,9 @@ def incoherent_baseline(game, tol: float = 1e-8) -> float:
     a basis projector.  The d basis probes are searched by branch and bound:
     each gets the certified upper bound of _majorant_bound, and they are
     visited in descending bound order (ties by index) through
-    success_probability's route and check, on the weighted states the bound
-    was built from, until the next bound is at most the best value minus
+    success_probability's route and check, on the weighted states and
+    majorants the bound was built from (the measurement program starts at
+    the least-trace one), until the next bound is at most the best value minus
     CROSS_CHECK_TOL.  A skipped probe's checked value could exceed its
     bound only by the certificate's 1e-9 tolerances, so it stays below the
     best, and the returned float is the maximum over all d probes.
@@ -392,12 +394,13 @@ def incoherent_baseline(game, tol: float = 1e-8) -> float:
         return float(np.max(game.priors))
     probes = [basis_projector(game.dim, j) for j in range(game.dim)]
     weighted = [_weighted(game, probe) for probe in probes]  # states by construction
-    bounds = _majorant_bound(weighted)
+    majorants = _majorants(weighted)
+    bounds = _majorant_bound(majorants)
     best = 0.0
     for j in sorted(range(game.dim), key=lambda j: (-bounds[j], j)):
         if bounds[j] <= best - CROSS_CHECK_TOL:
             break
-        value, _ = _certified(game, probes[j], weighted[j], tol)
+        value, _ = _certified(game, probes[j], weighted[j], tol, majorants[j])
         best = max(best, value)
     return best
 

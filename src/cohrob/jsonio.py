@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import sys
+from itertools import chain
 
 import numpy as np
 
@@ -64,21 +65,43 @@ def matrix_to_json(m) -> dict:
     }
 
 
+def _bulk_rows(rows, d: int):
+    """rows as a d x d float array when every row is a list of d ints and
+    floats (bools excluded) and every converted entry is below the float
+    maximum in magnitude; otherwise None.  The strict bound leaves an int
+    just above the maximum, which numpy rounds down to it, to _number."""
+    if not (isinstance(rows, list) and len(rows) == d
+            and all(type(row) is list and len(row) == d for row in rows)
+            and set(map(type, chain.from_iterable(rows))) <= {int, float}):
+        return None
+    try:
+        a = np.array(rows, dtype=float)
+    except OverflowError:
+        return None
+    return a if (np.abs(a) < sys.float_info.max).all() else None
+
+
 def matrix_from_json(obj, where: str = "matrix") -> np.ndarray:
+    """The complex matrix of the shared format.  Entries are checked in bulk;
+    only a matrix that fails the bulk check takes the per-entry reader,
+    which names the first bad row or entry."""
     d = _dim(obj, where)
     parts = []
     for key in ("re", "im"):
         rows = _require(obj, key, where)
-        if not isinstance(rows, list) or len(rows) != d:
-            raise InputFormatError(f"{where}.{key}: expected {d} rows")
-        for r, row in enumerate(rows):
-            if not isinstance(row, list) or len(row) != d:
-                raise InputFormatError(
-                    f"{where}.{key} row {r}: expected {d} entries"
-                )
-            for c, val in enumerate(row):
-                _number(val, f"{where}.{key}[{r}][{c}]")
-        parts.append(np.array(rows, dtype=float))
+        part = _bulk_rows(rows, d)
+        if part is None:
+            if not isinstance(rows, list) or len(rows) != d:
+                raise InputFormatError(f"{where}.{key}: expected {d} rows")
+            for r, row in enumerate(rows):
+                if not isinstance(row, list) or len(row) != d:
+                    raise InputFormatError(
+                        f"{where}.{key} row {r}: expected {d} entries"
+                    )
+                for c, val in enumerate(row):
+                    _number(val, f"{where}.{key}[{r}][{c}]")
+            part = np.array(rows, dtype=float)
+        parts.append(part)
     return parts[0] + 1j * parts[1]
 
 

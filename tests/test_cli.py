@@ -427,16 +427,73 @@ def test_verify_teo_passes_tol_to_the_solves(capsys, tmp_path):
     assert json.loads(capsys.readouterr().out)["equality_gap"] > tight
 
 
+def _env_with_src():
+    """The environment with this checkout's src first on PYTHONPATH, for a subprocess."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
+# -- one parser per process ------------------------------------------------------------------------
+
+
+@pytest.fixture
+def fresh_parser(monkeypatch):
+    """main as in a new process: no parser yet; counts build_parser calls."""
+    calls = []
+    build = cli.build_parser
+
+    def counting():
+        calls.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "_PARSER", None)
+    monkeypatch.setattr(cli, "build_parser", counting)
+    return calls
+
+
+def test_main_builds_its_parser_once(fresh_parser, capsys, max4_state):
+    for argv in (["bounds", max4_state], ["roc", max4_state, "--json"], ["bounds", max4_state]):
+        assert cli.main(argv) == 0
+    assert len(fresh_parser) == 1
+
+
+def test_no_default_leaks_between_calls(fresh_parser, tmp_path, capsys):
+    data = WitnessDataset.build([PAULI_X], [1.0])
+    path = write_json(tmp_path / "ds.json", dataset_to_json(data))
+    assert cli.main(["min-roc-from-data", path, "--slack", "0.01", "--json"]) == 0
+    slack = capsys.readouterr().out
+    assert cli.main(["min-roc-from-data", path, "--json"]) == 0
+    after = capsys.readouterr().out
+    cli._PARSER = None  # the second call made alone
+    assert cli.main(["min-roc-from-data", path, "--json"]) == 0
+    alone = capsys.readouterr().out
+    assert after == alone != slack
+
+
+def test_malformed_command_line_after_a_good_call_exits_one(fresh_parser, capsys, max4_state):
+    assert cli.main(["roc", max4_state]) == 0
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["roc", max4_state, "--bogus"])
+    assert exc.value.code == cli.EXIT_BAD_INPUT
+    assert "error:" in capsys.readouterr().err
+
+
+def test_import_builds_no_parser():
+    code = "import cohrob.cli as cli; assert cli._PARSER is None"
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=_env_with_src(), check=False)
+    assert run.returncode == 0, run.stderr
+
+
 # -- module entry point ---------------------------------------------------------------------------
 
 
 def test_python_dash_m_matches_main(capsys, max4_state):
-    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     run = subprocess.run(
         [sys.executable, "-m", "cohrob", "roc", max4_state, "--json"],
-        capture_output=True, text=True, env=env, check=False,
+        capture_output=True, text=True, env=_env_with_src(), check=False,
     )
     assert run.returncode == 0, run.stderr
     assert cli.main(["roc", max4_state, "--json"]) == 0

@@ -271,7 +271,7 @@ def test_majorants_dominate_and_bound_every_probe(d, outcomes):
         for q_r in qs:
             assert np.min(np.linalg.eigvalsh(q_r - ws)) >= -1e-12
             assert np.trace(q_r).real >= value - 1e-12
-    bounds = _majorant_bound(weighted)
+    bounds = _majorant_bound(q)
     assert np.array_equal(bounds, np.min(np.trace(q, axis1=-2, axis2=-1).real, axis=-1))
     # the pruned search returns the maximum over all d probes, bit for bit
     assert incoherent_baseline(game) == max(values)
@@ -279,7 +279,7 @@ def test_majorants_dominate_and_bound_every_probe(d, outcomes):
 
 def test_majorant_of_two_hypotheses_is_helstroms():
     game = random_channel_game(2, outcomes=2, kraus_count=2, seed=81)
-    for j, bound in enumerate(_majorant_bound(_weighted_per_probe(game))):
+    for j, bound in enumerate(_majorant_bound(_majorants(_weighted_per_probe(game)))):
         states = game.states(basis_projector(2, j))
         assert abs(bound - helstrom_two_outcome(game.priors, states)) <= 1e-12
 
@@ -455,7 +455,7 @@ def _random_game(i):
     return [p * s for p, s in zip(game.priors, game.states(random_state(d, seed=seed)))]
 
 
-def _uniform_start_problem(weighted):
+def _uniform_start_problem(weighted, majorants=None):
     """_measurement_problem with the start it replaced: Q = 1.5 * 1, M_k = 1/m."""
     problem, _ = _measurement_problem(weighted)
     m, d = len(weighted), weighted[0].shape[0]

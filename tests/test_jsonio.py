@@ -1,5 +1,6 @@
 """JSON wire formats: roundtrips and line-precise error reporting."""
 import json
+import sys
 from dataclasses import asdict
 
 import numpy as np
@@ -72,6 +73,52 @@ def test_matrix_errors_name_the_offending_path():
         )
     with pytest.raises(InputFormatError, match=r"state\.re"):
         matrix_from_json({"dim": 1, "re": [], "im": []}, where="state")
+
+
+# entries the bulk check refuses, as json.loads reads them from a file: 1e400
+# reads as inf
+BAD_ENTRIES = [True, "0.5", None, float("nan"), json.loads("1e400"), 10 ** 400]
+
+
+@pytest.mark.parametrize("value", BAD_ENTRIES, ids=repr)
+@pytest.mark.parametrize("key, r, c", [("re", 1, 0), ("im", 0, 1)])
+def test_bad_entry_is_named_with_its_path_and_repr(value, key, r, c):
+    obj = {"dim": 2, "re": [[0.5, 0.0], [0.0, 0.5]], "im": [[0.0, 0.0], [0.0, 0.0]]}
+    obj[key][r][c] = value
+    with pytest.raises(InputFormatError) as exc:
+        matrix_from_json(obj)
+    assert str(exc.value) == f"matrix.{key}[{r}][{c}]: not a finite number: {value!r}"
+
+
+def test_first_fault_in_row_order_is_reported():
+    # a bad number in row 0 and a short row 1: row 0's number comes first
+    obj = {"dim": 2, "re": [[0.5, "x"], [0.0]], "im": [[0.0, 0.0], [0.0, 0.0]]}
+    with pytest.raises(InputFormatError) as exc:
+        matrix_from_json(obj)
+    assert str(exc.value) == "matrix.re[0][1]: not a finite number: 'x'"
+    obj["re"][0][1] = 0.0
+    with pytest.raises(InputFormatError) as exc:
+        matrix_from_json(obj)
+    assert str(exc.value) == "matrix.re row 1: expected 2 entries"
+
+
+def test_entries_at_the_float_maximum():
+    # numpy rounds an int just above the maximum down to it; the reader
+    # refuses that int and keeps the float maximum itself
+    big = sys.float_info.max
+    obj = {"dim": 1, "re": [[int(big) + 1]], "im": [[0]]}
+    with pytest.raises(InputFormatError, match=r"matrix\.re\[0\]\[0\]: not a finite"):
+        matrix_from_json(obj)
+    obj["re"] = [[-big]]
+    assert matrix_from_json(obj)[0, 0] == -big
+
+
+def test_mixed_ints_and_floats_read_bit_for_bit():
+    re = [[1, 0.25, 2 ** 53 + 1], [-3, 10 ** 300, 1e-300], [0, -0.0, 7]]
+    im = [[0, 1.5, -2], [5e-324, 0.1, 3], [2 ** 64, -1, 0.0]]
+    got = matrix_from_json({"dim": 3, "re": re, "im": im})
+    want = np.array(re, dtype=float) + 1j * np.array(im, dtype=float)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 # -- result serializers ------------------------------------------------------------
